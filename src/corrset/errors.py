@@ -38,8 +38,12 @@ class NotInQuantumSetError(CorrSetError, ValueError):
 
 
 class BisectionError(CorrSetError, RuntimeError):
-    """Ray bisection could not localize the boundary crossing.  Signals
-    numerical pathology immediately next to the box boundary."""
+    """Ray bisection could not localize the boundary crossing.
+
+    `geometry.decompose` no longer raises it: its bisection runs on an
+    angle in which the arcsine residual has bounded slope, so it converges
+    at every member of the quantum set.  The class stays exported for
+    callers that catch it."""
 
 
 class InvariantViolationError(CorrSetError, ValueError):

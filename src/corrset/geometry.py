@@ -16,10 +16,16 @@ generators.  The algorithm:
 
 2. Walk the ray t -> t*y outward from the origin.  arcsine_sum(t*y) is
    nondecreasing in t for s-ordered y, so the ray leaves the set either
-   through the curved arcsine boundary (bisect for the crossing, identify
-   the hit point with a single generator via phi_i = asin x_i) or through
-   the face y1 = 1 of the box (split the face point between the two
-   generators that pin its fourth coordinate from below and above).
+   through the face y1 = 1 of the box (split the face point z = y/y1
+   between the two generators that pin its fourth coordinate from below
+   and above) or through the curved arcsine boundary.  The curved crossing
+   is the point sin(theta1) * z, and the bisection runs on the angle
+   theta1 in [pi/4, pi/2], not on t: each term asin(z_i sin theta1) has
+   slope at most 1 in theta1, so a one-ulp bracket bounds the arcsine
+   residual even where the ray leaves next to the box corner, where the
+   slope in t is unbounded.  The hit point is the generator
+   G(theta1, asin(z2 s), asin(z3 s)) with s = sin theta1, taken with
+   weight y1 / s.
 
 3. Mix in the zero generator G(0,0,0) to account for the radial scaling,
    and transport every generator back through the inverse symmetry op.
@@ -47,7 +53,6 @@ from .corrvec import (
     is_s_ordered,
 )
 from .errors import (
-    BisectionError,
     InternalCheckError,
     NotInQuantumSetError,
     NotOnBoundaryError,
@@ -57,8 +62,6 @@ from .errors import (
 
 _TWO_PI = 2.0 * math.pi
 _S_ORDER_SLACK = 1e-12
-_BISECT_VALUE_TOLERANCE = 1e-12
-_BISECT_MAX_ITERATIONS = 200
 _RECONSTRUCTION_TOLERANCE = 1e-9
 _WEIGHT_SUM_TOLERANCE = 1e-12
 _ANGLE_SUM_TOLERANCE = 1e-9
@@ -313,47 +316,54 @@ def angle_transport(op: SymmetryOp, g: GeneratorPoint) -> GeneratorPoint:
     return GeneratorPoint(shifted[0], shifted[1], shifted[2])
 
 
-def _ray_arcsine_sum(t: float, comps: tuple[float, float, float, float]) -> float:
-    # clamp guards against t*comps[i] overshooting 1 by one ulp at t = 1/y1
-    c0 = min(1.0, max(-1.0, t * comps[0]))
-    c1 = min(1.0, max(-1.0, t * comps[1]))
-    c2 = min(1.0, max(-1.0, t * comps[2]))
-    c3 = min(1.0, max(-1.0, t * comps[3]))
-    return math.asin(c0) + math.asin(c1) + math.asin(c2) - math.asin(c3)
+def _ray_arcsines(
+    z: tuple[float, float, float, float], delta: float
+) -> list[float]:
+    """asin(z_i cos delta) for i = 2, 3, 4, each accurate in absolute terms.
 
-
-def _bisect_boundary_crossing(
-    comps: tuple[float, float, float, float], tolerance: float
-) -> float:
-    """Find t with arcsine_sum(t * y) = pi on a monotone bracket.
-
-    The caller guarantees arcsine_sum(y) < pi < arcsine_sum(y / y1).
-    Bisection stops once the functional is within 1e-12 of pi or the
-    parameter interval collapses to 1e-12; if the residual still exceeds
-    the decomposition tolerance afterwards the geometry is numerically
-    pathological (the crossing hugs the box corner) and BisectionError
-    is raised.
+    Every |z_i| <= 1, so no argument leaves [-1, 1] and no clamp is needed.
+    Each is formed as atan2(u, sqrt(1 - u^2)) with 1 - |u| = (1 - |z_i|) +
+    |z_i| 2 sin^2(delta/2), a sum of two nonnegative terms, so nothing
+    cancels where u = z_i cos delta is within rounding of +-1.  A plain
+    asin(z_i * sin theta) there turns the last-ulp rounding of its argument
+    into an error of up to 1.5e-8 in the angle (for example when z2 = 1).
     """
-    lo = 1.0
-    hi = 1.0 / comps[0]
-    mid = 0.5 * (lo + hi)
-    for _ in range(_BISECT_MAX_ITERATIONS):
+    c = math.cos(delta)
+    h = 2.0 * math.sin(0.5 * delta) ** 2
+    angles = []
+    for v in z[1:]:
+        w = (1.0 - abs(v)) + abs(v) * h
+        angles.append(math.atan2(v * c, math.sqrt(w * (2.0 - w))))
+    return angles
+
+
+def _boundary_angle(z: tuple[float, float, float, float]) -> float:
+    """The angle theta1 where the ray through the face point z crosses the
+    curved boundary: the root in [pi/4, pi/2] of
+
+        g(theta) = theta + asin(z2 s) + asin(z3 s) - asin(z4 s) - pi,
+        s = sin theta.
+
+    The caller guarantees g(pi/2) > 0.  Since |z_i| <= 1, each term
+    asin(z_i sin theta) has slope at most 1 in theta, and the s-order
+    z3 >= |z4| keeps the z4 term from outweighing the z3 term: g increases
+    with slope between 1 and 4.  No term exceeds theta, so g(pi/4) <= 0.
+    The bisection runs until the midpoint rounds to an endpoint, at most
+    about 55 halvings; the bracket is then one ulp wide, and the slope
+    bound holds the residual to a few ulps of pi/2, however close to the
+    box corner the crossing lies.  The terms come from `_ray_arcsines`,
+    whose rounding does not break that bound.
+    """
+    lo, hi = 0.25 * math.pi, 0.5 * math.pi
+    while True:
         mid = 0.5 * (lo + hi)
-        value = _ray_arcsine_sum(mid, comps)
-        if abs(value - math.pi) <= _BISECT_VALUE_TOLERANCE:
-            return mid
-        if value < math.pi:
+        if mid == lo or mid == hi:
+            return hi
+        a2, a3, a4 = _ray_arcsines(z, 0.5 * math.pi - mid)
+        if mid + a2 + a3 - a4 - math.pi < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= _BISECT_VALUE_TOLERANCE:
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(_ray_arcsine_sum(mid, comps) - math.pi) <= tolerance:
-        return mid
-    raise BisectionError(
-        f"boundary crossing on the ray through {comps!r} did not converge"
-    )
 
 
 def decompose(
@@ -399,16 +409,12 @@ def decompose(
                 scaled = scaled + ((1.0 - scale, GeneratorPoint.origin()),)
             terms = scaled
         else:
-            # the ray exits through the curved boundary
-            t_star = _bisect_boundary_crossing(y, tolerance)
-            hit = CorrelationVector(
-                min(1.0, t_star * y[0]),
-                min(1.0, t_star * y[1]),
-                min(1.0, t_star * y[2]),
-                min(1.0, max(-1.0, t_star * y[3])),
-            )
-            weight = 1.0 / t_star
-            generator = boundary_to_generator(hit, tolerance)
+            # the ray exits through the curved boundary at sin(theta1) * z
+            face_point = z.as_tuple()
+            theta1 = _boundary_angle(face_point)
+            phi2, phi3, _ = _ray_arcsines(face_point, 0.5 * math.pi - theta1)
+            generator = GeneratorPoint(theta1, phi2, phi3)
+            weight = min(1.0, scale / math.sin(theta1))
             if 1.0 - weight > 0.0:
                 terms = (
                     (weight, generator),

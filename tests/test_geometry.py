@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrset.corrvec import CorrelationVector, canonicalize, full_symmetry_group
@@ -323,3 +323,53 @@ def test_canonical_interior_bisection_path():
         np.array(d.reconstruct().as_tuple()) - np.array(x.as_tuple())
     ).max()
     assert residual <= 1e-9
+
+
+def _max_residual(x: CorrelationVector) -> float:
+    d = decompose(x)
+    assert 1 <= len(d.terms) <= 3
+    return float(
+        np.abs(np.array(d.reconstruct().as_tuple()) - np.array(x.as_tuple())).max()
+    )
+
+
+def test_decompose_corner_hugging_reproducer():
+    # the ray leaves the curved boundary next to the face corner; bisecting
+    # on the ray parameter could not bound the arcsine residual there
+    x = CorrelationVector(
+        0.6713521847279182, 0.8667155707840724,
+        -0.10818871675350317, 0.46017182894860476,
+    )
+    assert _max_residual(x) <= 1e-9
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    st.floats(min_value=-12.0, max_value=-4.0),
+    st.floats(min_value=0.0, max_value=1.0 - 1e-6, exclude_min=True),
+    st.integers(min_value=0, max_value=191),
+)
+@settings(max_examples=300)
+def test_decompose_corner_hugging_rays(a, b, log_excess, scale, op_index):
+    # face point z = (1, sin t2, sin t3, sin t4) whose arcsine sum exceeds pi
+    # by 10**log_excess, so the ray through it leaves Q just below the face
+    t2, t3 = max(a, b), min(a, b)
+    t4 = t2 + t3 - 0.5 * math.pi - 10.0**log_excess
+    assume(abs(t4) <= t3)
+    face_point = np.array([1.0, math.sin(t2), math.sin(t3), math.sin(t4)])
+    op = full_symmetry_group()[op_index]
+    x = op.apply(CorrelationVector(*(scale * face_point)))
+    assert _max_residual(x) <= 1e-9
+
+
+def test_decompose_tied_leading_components():
+    # y1 == y2 puts asin(z2 sin theta) at the edge of its domain near the
+    # corner, where a plain arcsine of the rounded product is off by 1e-8
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        c = rng.uniform(0.2, 0.99)
+        t3 = rng.uniform(0.1, 1.4)
+        excess = math.exp(rng.uniform(math.log(2e-9), math.log(1e-5)))
+        x = CorrelationVector(c, c, c * math.sin(t3), c * math.sin(t3 - excess))
+        assert _max_residual(x) <= 1e-9

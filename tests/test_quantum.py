@@ -1,6 +1,9 @@
 """Quantum realization tests: synthesis, expectation oracle and sampling."""
 
 import math
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +131,50 @@ def test_expectation_validates_state():
         expectation(
             Realization(state=indefinite, a0=r.a0, a1=r.a1, b0=r.b0, b1=r.b1)
         )
+
+
+def test_positivity_check_at_joint_dimension_36():
+    gs = [GeneratorPoint(0.3, -0.2, 0.9), GeneratorPoint(-1.0, 0.4, 0.1),
+          GeneratorPoint(HALF_PI, 0.0, 0.0)]
+    r = realize_mixture(Decomposition(tuple(zip((0.2, 0.3, 0.5), gs))))
+    assert r.state.shape == (36, 36)
+    r.validate()
+    # move 1e-8 of weight from the top eigenvector onto a null vector with
+    # a minus sign: trace and Hermiticity stay, one eigenvalue is -1e-8
+    _, vectors = np.linalg.eigh(r.state)
+    null, top = vectors[:, 0], vectors[:, -1]
+    shifted = (
+        r.state
+        - 1e-8 * np.outer(null, null.conj())
+        + 1e-8 * np.outer(top, top.conj())
+    )
+    assert abs(np.trace(shifted) - 1.0) <= 1e-15
+    broken = Realization(state=shifted, a0=r.a0, a1=r.a1, b0=r.b0, b1=r.b1)
+    with pytest.raises(
+        InvariantViolationError, match=r"state-positive.*-1\.0\d*e-08"
+    ):
+        broken.validate()
+
+
+def test_expectation_real_check_names_the_correlator():
+    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
+    # an anti-Hermitian part 0.25e-3 i K with K = A0 x B0 adds 1e-3 i to the
+    # first correlator (tr K^2 = 4) and less to the others
+    skewed = r.state + 0.25e-3j * np.kron(r.a0, r.b0)
+    broken = Realization(state=skewed, a0=r.a0, a1=r.a1, b0=r.b0, b1=r.b1)
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"correlator x1 \(A0 B0\) has imaginary residue 1\.000e-03",
+    ):
+        expectation(broken, validate=False)
+
+
+def test_decompose_and_realize_demo_round_trip(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "decompose_and_realize.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    found = re.search(r"round-trip residual: (\S+)", capsys.readouterr().out)
+    assert found is not None
+    assert float(found.group(1)) <= 1e-8
 
 
 def test_realization_json_round_trip():
