@@ -29,9 +29,17 @@ point of this module is redundancy.  It provides:
   +-1 assignment reproduces the four three-party correlators (1, 1, 1, -1)
   of the canonical parity argument.
 
-Scan results are deterministic for fixed parameters, including under
-worker-based grid partitioning (merges are associative with deterministic
-tie-breaks).
+Both scans run through one driver, `_min_scan`: it splits the rows i of
+the grid among workers, and each row yields a slab of values over (j, k)
+from which it takes the violation count below a bound and the first
+minimum.  Only the slab function differs between the scans.  The angle
+scan looks for a maximum, so it runs on the negated sum, with tables
+-asin(sin nu) added in the same order as the sum: IEEE negation is exact
+and rounding is symmetric, so every scanned value is exactly minus the
+sum and the maximum, its first grid point and the count above pi +
+threshold come out as a maximum scan would give them.  Results are
+deterministic for fixed parameters and do not depend on the worker count:
+chunks merge by (value, grid point).
 """
 
 from __future__ import annotations
@@ -233,47 +241,24 @@ def _grid_axis(limit: float, step: float) -> np.ndarray:
     return -limit + step * np.arange(count)
 
 
-def _merge_min(
-    results: list[tuple[float, tuple[float, ...], int]],
-) -> tuple[float, tuple[float, ...], int]:
-    total_violations = sum(r[2] for r in results)
-    candidates = [r for r in results if r[1] is not None]
-    if not candidates:
-        raise DomainError("scan grid is empty; decrease step or margin")
-    best = min(candidates, key=lambda r: (r[0], r[1]))
-    return best[0], best[1], total_violations
-
-
-def _curvature_chunk(
-    args: tuple[int, int, float, float, float],
-) -> tuple[float, tuple[float, ...] | None, int]:
-    start, stop, step, margin, threshold = args
-    limit = 0.5 * math.pi - margin
-    axis = _grid_axis(limit, step)
-    low_sum = 0.5 * math.pi + margin
-    high_sum = 1.5 * math.pi - margin
-
-    sin_term = np.sin(axis) / np.cos(axis) ** 5
-    weight_term = 1.0 / np.cos(axis) ** 2
+def _scan_chunk(args: tuple) -> tuple[float, tuple[float, ...] | None, int]:
+    """Rows start..stop-1 of a minimum scan: the first smallest value with
+    its grid point, and the count of values below `bound`.
+    `make_slabs(*params)` gives the axis and `slab(i)`, the (n, n) values at
+    (axis[i], axis[j], axis[k]), or None when row i has no grid point."""
+    start, stop, make_slabs, params, bound = args
+    axis, slab = make_slabs(*params)
     count = axis.size
-
     best = math.inf
     best_arg: tuple[float, ...] | None = None
     violations = 0
     for i in range(start, stop):
-        totals = axis[i] + axis[:, None] + axis[None, :]
-        mask = (totals >= low_sum) & (totals <= high_sum)
-        if not mask.any():
+        values = slab(i)
+        if values is None:
             continue
-        values = (
-            sin_term[i] + sin_term[:, None] + sin_term[None, :]
-        ) - np.tan(totals) * (
-            weight_term[i] + weight_term[:, None] + weight_term[None, :]
-        ) ** 2
-        masked = np.where(mask, values, np.inf)
-        violations += int((masked < threshold).sum())
-        flat = int(np.argmin(masked))
-        value = float(masked.flat[flat])
+        violations += int((values < bound).sum())
+        flat = int(np.argmin(values))
+        value = float(values.flat[flat])
         if value < best:
             best = value
             best_arg = (
@@ -282,6 +267,47 @@ def _curvature_chunk(
                 float(axis[flat % count]),
             )
     return best, best_arg, violations
+
+
+def _min_scan(
+    make_slabs, params: tuple, bound: float, workers: int
+) -> tuple[float, tuple[float, ...], int]:
+    """(min value, its grid point, count below `bound`) over the grid.
+    Ties go to the smallest grid point, whatever the split into chunks."""
+    size = make_slabs(*params)[0].size
+    args = [
+        (start, stop, make_slabs, params, bound)
+        for start, stop in _chunk_ranges(size, workers)
+    ]
+    results = _run_chunks(_scan_chunk, args, workers)
+    candidates = [r for r in results if r[1] is not None]
+    if not candidates:
+        raise DomainError("scan grid is empty; decrease step or margin")
+    best, best_arg, _ = min(candidates, key=lambda r: (r[0], r[1]))
+    return best, best_arg, sum(r[2] for r in results)
+
+
+def _curvature_slabs(step: float, margin: float):
+    limit = 0.5 * math.pi - margin
+    axis = _grid_axis(limit, step)
+    low_sum = 0.5 * math.pi + margin
+    high_sum = 1.5 * math.pi - margin
+    sin_term = np.sin(axis) / np.cos(axis) ** 5
+    weight_term = 1.0 / np.cos(axis) ** 2
+
+    def slab(i: int) -> np.ndarray | None:
+        totals = axis[i] + axis[:, None] + axis[None, :]
+        mask = (totals >= low_sum) & (totals <= high_sum)
+        if not mask.any():
+            return None
+        values = (
+            sin_term[i] + sin_term[:, None] + sin_term[None, :]
+        ) - np.tan(totals) * (
+            weight_term[i] + weight_term[:, None] + weight_term[None, :]
+        ) ** 2
+        return np.where(mask, values, np.inf)
+
+    return axis, slab
 
 
 def curvature_positivity_scan(
@@ -297,44 +323,22 @@ def curvature_positivity_scan(
     min_value >= threshold (violations == 0).
     """
     _check_scan_params(step, margin)
-    axis_size = _grid_axis(0.5 * math.pi - margin, step).size
-    chunks = _chunk_ranges(axis_size, workers)
-    args = [(a, b, step, margin, threshold) for a, b in chunks]
-    results = _run_chunks(_curvature_chunk, args, workers)
-    best, best_arg, violations = _merge_min(results)
     return ScanResult(
-        grid_step=step, min_value=best, argmin=best_arg, violations=violations
+        step, *_min_scan(_curvature_slabs, (step, margin), threshold, workers)
     )
 
 
-def _angle_sum_chunk(
-    args: tuple[int, int, float, float],
-) -> tuple[float, tuple[float, ...] | None, int]:
-    start, stop, step, threshold = args
+def _negated_angle_sum_slabs(step: float):
     axis = _grid_axis(math.pi, step)
-    folded = np.arcsin(np.sin(axis))
-    count = axis.size
+    negated = -np.arcsin(np.sin(axis))
 
-    best = -math.inf
-    best_arg: tuple[float, ...] | None = None
-    violations = 0
-    bound = math.pi + threshold
-    for i in range(start, stop):
+    def slab(i: int) -> np.ndarray:
         totals = axis[i] + axis[:, None] + axis[None, :]
-        values = folded[i] + folded[:, None] + folded[None, :] + np.arcsin(
+        return (negated[i] + negated[:, None] + negated[None, :]) - np.arcsin(
             np.sin(totals)
         )
-        violations += int((values > bound).sum())
-        flat = int(np.argmax(values))
-        value = float(values.flat[flat])
-        if value > best:
-            best = value
-            best_arg = (
-                float(axis[i]),
-                float(axis[flat // count]),
-                float(axis[flat % count]),
-            )
-    return best, best_arg, violations
+
+    return axis, slab
 
 
 def angle_sum_max_scan(
@@ -350,22 +354,10 @@ def angle_sum_max_scan(
     with violations == 0, and attainment min_value <= 2 * step.
     """
     _check_scan_params(step, None)
-    axis_size = _grid_axis(math.pi, step).size
-    chunks = _chunk_ranges(axis_size, workers)
-    args = [(a, b, step, threshold) for a, b in chunks]
-    results = _run_chunks(_angle_sum_chunk, args, workers)
-
-    total_violations = sum(r[2] for r in results)
-    candidates = [r for r in results if r[1] is not None]
-    if not candidates:
-        raise DomainError("scan grid is empty; decrease step")
-    best = max(candidates, key=lambda r: (r[0], [-a for a in r[1]]))
-    return ScanResult(
-        grid_step=step,
-        min_value=math.pi - best[0],
-        argmin=best[1],
-        violations=total_violations,
+    best, best_arg, violations = _min_scan(
+        _negated_angle_sum_slabs, (step,), -(math.pi + threshold), workers
     )
+    return ScanResult(step, math.pi + best, best_arg, violations)
 
 
 def _check_scan_params(step: float, margin: float | None) -> None:
@@ -379,17 +371,17 @@ def _check_scan_params(step: float, margin: float | None) -> None:
 
 
 def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(workers, size)) if workers > 1 else 1
+    """Split range(size) into contiguous (start, stop) pieces, one per
+    worker when every worker gets at least 4 indices, else one piece."""
+    pieces = workers if workers > 1 and size >= 4 * workers else 1
     bounds = np.linspace(0, size, pieces + 1).astype(int)
-    return [
-        (int(bounds[k]), int(bounds[k + 1]))
-        for k in range(pieces)
-        if bounds[k] < bounds[k + 1]
-    ]
+    return [(int(bounds[k]), int(bounds[k + 1])) for k in range(pieces)]
 
 
 def _run_chunks(func, args: list, workers: int) -> list:
-    if workers <= 1 or len(args) <= 1:
+    """func over args, in order; in a pool of `workers` processes when
+    there is more than one chunk.  func must be picklable by name."""
+    if len(args) <= 1:
         return [func(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
 

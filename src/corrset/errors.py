@@ -37,15 +37,6 @@ class NotInQuantumSetError(CorrSetError, ValueError):
     """Decomposition was requested for a vector outside the quantum set."""
 
 
-class BisectionError(CorrSetError, RuntimeError):
-    """Ray bisection could not localize the boundary crossing.
-
-    `geometry.decompose` no longer raises it: its bisection runs on an
-    angle in which the arcsine residual has bounded slope, so it converges
-    at every member of the quantum set.  The class stays exported for
-    callers that catch it."""
-
-
 class InvariantViolationError(CorrSetError, ValueError):
     """A state or observable failed one of its named invariant checks."""
 

@@ -104,7 +104,10 @@ class GeneratorPoint:
 
     def evaluate(self) -> CorrelationVector:
         """The correlation vector this generator produces."""
-        return CorrelationVector(
+        return CorrelationVector(*self._components())
+
+    def _components(self) -> tuple[float, float, float, float]:
+        return (
             math.sin(self.phi1),
             math.sin(self.phi2),
             math.sin(self.phi3),
@@ -187,7 +190,7 @@ class Decomposition:
         """Weighted sum of the evaluated generators."""
         acc = [0.0, 0.0, 0.0, 0.0]
         for w, g in self.terms:
-            for i, v in enumerate(g.evaluate().as_tuple()):
+            for i, v in enumerate(g._components()):
                 acc[i] += w * v
         # convex combinations of box points can overshoot by float dust only
         return CorrelationVector(*(min(1.0, max(-1.0, v)) for v in acc))
@@ -259,8 +262,9 @@ def face_decompose(
 
     whose endpoints are generated by G(pi/2, theta2, theta3) and
     G(pi/2, theta2, pi - theta3).  The input's fourth coordinate picks the
-    mixing weight.  Degenerate segments (endpoints closer than the
-    tolerance) give a single term of weight 1.
+    mixing weight.  Degenerate segments (endpoints closer than 1e-9, the
+    reconstruction bound) give a single term of weight 1; `tolerance`
+    only admits the input.
     """
     if not is_s_ordered(x, slack=_S_ORDER_SLACK):
         raise NotSOrderedError(
@@ -284,7 +288,7 @@ def face_decompose(
     g_low = GeneratorPoint(0.5 * math.pi, theta2, theta3)
     g_high = GeneratorPoint(0.5 * math.pi, theta2, math.pi - theta3)
 
-    if high - low < tolerance:
+    if high - low < _RECONSTRUCTION_TOLERANCE:
         return Decomposition(((1.0, g_low),))
 
     lam = (t[3] - low) / (high - low)
@@ -371,10 +375,14 @@ def decompose(
 ) -> Decomposition:
     """Write a quantum-set member as a mixture of at most 3 generators.
 
-    Raises NotInQuantumSetError outside the set.  The result reconstructs
-    the input within 1e-9 per component; that bound is verified before
-    returning and its failure (never observed for valid input) raises
-    InternalCheckError.
+    Raises NotInQuantumSetError when the arcsine margin is below
+    -tolerance.  `tolerance` only admits the input; which exit the ray
+    takes is decided against the fixed 1e-9 reconstruction bound.  The
+    result reconstructs the input within 1e-9 per component; that bound is
+    verified before returning and its failure raises InternalCheckError.
+    The check fails for inputs that a tolerance above 1e-9 admits although
+    they lie outside the quantum set by more than 1e-9; it has not been
+    seen to fail for members of the set.
     """
     form = canonicalize(x)
     y = form.canonical.as_tuple()
@@ -393,17 +401,16 @@ def decompose(
     if y[0] == 0.0:
         # the zero vector; s-order forces all components to vanish with y1
         terms = ((1.0, GeneratorPoint.origin()),)
-    elif f_y >= math.pi - tolerance:
+    elif f_y >= math.pi - _RECONSTRUCTION_TOLERANCE:
         # already on the curved boundary: single extremal term
-        canonical_vec = form.canonical
-        terms = ((1.0, boundary_to_generator(canonical_vec, tolerance)),)
+        terms = ((1.0, GeneratorPoint(*(math.asin(v) for v in y[:3]))),)
     else:
         scale = y[0]  # reciprocal of the ray parameter of the box face
         z = CorrelationVector(1.0, y[1] / y[0], y[2] / y[0], y[3] / y[0])
         f_z = arcsine_sum(z)
-        if f_z <= math.pi + tolerance:
+        if f_z <= math.pi + _RECONSTRUCTION_TOLERANCE:
             # the ray exits through the box face x1 = 1
-            face = face_decompose(z, tolerance)
+            face = face_decompose(z, _RECONSTRUCTION_TOLERANCE)
             scaled = tuple((w * scale, g) for w, g in face.terms)
             if 1.0 - scale > 0.0:
                 scaled = scaled + ((1.0 - scale, GeneratorPoint.origin()),)

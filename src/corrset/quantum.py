@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import _chunk_ranges, _run_chunks
 from .corrvec import CorrelationVector
 from .errors import DimensionError, InvariantViolationError
 from .geometry import Decomposition, GeneratorPoint, reduce_angle
@@ -370,17 +371,8 @@ def sample_correlations(
     _check_dims(dim_a, dim_b)
     if count < 0:
         raise DimensionError(f"count must be nonnegative, got {count}")
-    if workers <= 1 or count < 4 * workers:
-        return _sample_chunk((0, count, dim_a, dim_b, seed))
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, count, workers + 1).astype(int)
-    chunks = [
-        (int(bounds[k]), int(bounds[k + 1]), dim_a, dim_b, seed)
-        for k in range(workers)
-        if bounds[k] < bounds[k + 1]
+    args = [
+        (start, stop, dim_a, dim_b, seed)
+        for start, stop in _chunk_ranges(count, workers)
     ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pieces = list(pool.map(_sample_chunk, chunks))
-    return np.concatenate(pieces, axis=0)
+    return np.concatenate(_run_chunks(_sample_chunk, args, workers), axis=0)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from corrset.membership import (
 )
 
 QUARTER_PI = 0.25 * math.pi
+# first grid point, in (nu1, nu2, nu3) order, where the scans reach the maximum
+ANGLE_SUM_ARGMAX = (-1.541592653589793, 1.558407346410207, 1.558407346410207)
 
 
 def test_deterministic_strategies():
@@ -110,6 +115,8 @@ def test_curvature_scan_coarse():
     assert res.violations == 0
     assert res.min_value >= CURVATURE_THRESHOLD
     assert res.min_value == pytest.approx(48.0, rel=0.01)
+    # pinned bit for bit, so the argmin tie-break and the count cannot move
+    assert res == ScanResult(0.1, 48.01860850970014, (0.7792036732051038,) * 3, 0)
     # deterministic and worker-count independent
     assert res == curvature_positivity_scan(step=0.1, margin=0.05)
     assert res == curvature_positivity_scan(step=0.1, margin=0.05, workers=2)
@@ -130,8 +137,16 @@ def test_angle_sum_scan_coarse():
     # min_value stores pi minus the scanned maximum
     assert res.min_value >= -ANGLE_SUM_THRESHOLD
     assert math.pi - res.min_value == pytest.approx(math.pi, abs=0.2)
+    assert res == ScanResult(0.1, -1.554312234475219e-14, ANGLE_SUM_ARGMAX, 0)
     assert res == angle_sum_max_scan(step=0.1)
     assert res == angle_sum_max_scan(step=0.1, workers=2)
+
+
+def test_angle_sum_scan_counts_violations():
+    # with the bound lowered to pi - 1 most of the grid exceeds it
+    expected = ScanResult(0.05, -1.554312234475219e-14, ANGLE_SUM_ARGMAX, 298_690)
+    assert angle_sum_max_scan(step=0.05, threshold=-1.0) == expected
+    assert angle_sum_max_scan(step=0.05, threshold=-1.0, workers=2) == expected
 
 
 def test_scan_rejects_bad_parameters():
@@ -151,6 +166,13 @@ def test_scan_result_json():
     assert list(d) == ["grid_step", "min_value", "argmin", "violations"]
     assert d["violations"] == 0
     assert len(d["argmin"]) == 3
+
+
+def test_verification_scans_demo(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "verification_scans.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert re.findall(r"violations: (\S+)", out) == ["0", "0"]
 
 
 def test_ghz_contradiction():

@@ -325,8 +325,8 @@ def test_canonical_interior_bisection_path():
     assert residual <= 1e-9
 
 
-def _max_residual(x: CorrelationVector) -> float:
-    d = decompose(x)
+def _max_residual(x: CorrelationVector, tolerance: float = 1e-9) -> float:
+    d = decompose(x, tolerance)
     assert 1 <= len(d.terms) <= 3
     return float(
         np.abs(np.array(d.reconstruct().as_tuple()) - np.array(x.as_tuple())).max()
@@ -373,3 +373,26 @@ def test_decompose_tied_leading_components():
         excess = math.exp(rng.uniform(math.log(2e-9), math.log(1e-5)))
         x = CorrelationVector(c, c, c * math.sin(t3), c * math.sin(t3 - excess))
         assert _max_residual(x) <= 1e-9
+
+
+def test_decompose_loose_tolerance_only_admits():
+    # a tolerance above the 1e-9 reconstruction bound must not pick the exit:
+    # each input sits within 1e-6 of a shortcut keyed on the caller's value
+    z = (1.0, math.sin(1.0), math.sin(0.8), math.sin(1.8 - 0.5 * math.pi - 5e-7))
+    # the face segment over (1, x2, x3) is x4 in [low, high]
+    t2, t3 = math.asin(1.0 - 1e-13), math.asin(math.sin(0.4))
+    low, high = -math.cos(t2 + t3), math.cos(t2 - t3)
+    assert 1e-7 < high - low < 1e-6
+    cases = [
+        # interior member with arcsine margin +5e-7: not on the boundary
+        (0.9320390859672263, 0.8414709848078965,
+         0.7833269096274834, -0.041580162865710035),
+        # face point 5e-7 outside Q: the ray leaves through the curved part
+        tuple(0.5 * v for v in z),
+        # a face segment 8.2e-7 wide is not degenerate
+        (1.0, 1.0 - 1e-13, math.sin(0.4), 0.5 * (low + high)),
+    ]
+    for values in cases:
+        assert _max_residual(CorrelationVector(*values), tolerance=1e-6) <= 1e-9
+    d = decompose(CorrelationVector(T, T, T, -T), tolerance=1e-6)
+    assert len(d.terms) == 1
