@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -263,35 +264,19 @@ def cmd_sample(args: argparse.Namespace) -> int:
         args.count, dim_a, dim_b, seed=args.seed, workers=args.parallel
     )
     margins = membership.quantum_margins(vectors)
-    chsh_peak = (
-        float(membership.chsh_combinations(vectors).max())
-        if len(vectors)
-        else 0.0
-    )
-    failures = int((margins < -tolerance).sum())
     summary = {
         "count": int(args.count),
         "dims": [dim_a, dim_b],
         "seed": int(args.seed),
         "tolerance": tolerance,
-        "failures": failures,
-        "max_chsh": chsh_peak,
+        "failures": int((margins < -tolerance).sum()),
+        "max_chsh": float(membership.chsh_combinations(vectors).max()),
     }
-    fmt = _pick_format(args, "json")
-    if fmt == "json":
-        payload = {
-            "summary": summary,
-            "vectors": [list(row) for row in vectors],
-        }
-        _emit(args, _json_dump(payload))
+    if _pick_format(args, "json") == "json":
+        _emit(args, _json_dump({"summary": summary, "vectors": vectors.tolist()}))
     else:
-        rows = [list(row) for row in vectors]
-        _emit(args, _csv_text(["x1", "x2", "x3", "x4"], rows))
-        print(
-            "summary: "
-            + " ".join(f"{k}={v}" for k, v in summary.items()),
-            file=sys.stderr,
-        )
+        _emit(args, _csv_text(["x1", "x2", "x3", "x4"], vectors.tolist()))
+        print("summary:", *(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
     return 0
 
 
@@ -467,6 +452,7 @@ def _add_vector_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

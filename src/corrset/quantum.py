@@ -29,9 +29,12 @@ numpy's PCG64 generator with explicit per-index stream splitting: sample
 consuming, in order, the joint state vector (all real parts, then all
 imaginary parts) followed by, for each of A0, A1, B0, B1: a complex square
 matrix (reals, then imaginaries) fed to QR for a Haar unitary, then one
-integer draw per dimension for the +-1 eigenvalue pattern.  Distinct
-indices therefore never share a stream, which makes sampling order and
-parallel chunking irrelevant to the output.
+integer draw per dimension for the +-1 eigenvalue pattern.  After the
+draws, the algebra runs once over a block of at most `_SAMPLE_BLOCK`
+indices, each step acting on every index alone through the same
+per-matrix BLAS and LAPACK calls, so a row depends neither on its block,
+chunk or worker count nor on sampling order; `sample_quantum` is the
+block of one.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ _IMAGINARY_TOLERANCE = 1e-10
 
 MIN_LOCAL_DIMENSION = 2
 MAX_LOCAL_DIMENSION = 8
+
+# Indices per batched sampling kernel call; rows do not depend on it.
+_SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -291,43 +297,48 @@ def _check_dims(dim_a: int, dim_b: int) -> None:
             )
 
 
-def _sample_stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed % 2**64, index)))
-    )
-
-
-def _random_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(raw)
-    diagonal = np.diagonal(r)
+def _haar_observables(raw: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """U diag(1 - 2 bits) U^dagger per index, U the phase-fixed QR unitary
+    of the complex Gaussian matrix raw[:, 0] + i raw[:, 1]."""
+    q, r = np.linalg.qr(raw[:, 0] + 1j * raw[:, 1])
+    diagonal = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
     # fix the QR phase ambiguity so the unitary is Haar distributed
     unitary = q * (diagonal / np.abs(diagonal))
-    pattern = 1.0 - 2.0 * rng.integers(0, 2, size=dim)
-    observable = (unitary * pattern) @ unitary.conj().T
-    return 0.5 * (observable + observable.conj().T)
+    signed = unitary * (1.0 - 2.0 * bits[:, None, :])
+    observable = signed @ unitary.conj().swapaxes(1, 2)
+    return 0.5 * (observable + observable.conj().swapaxes(1, 2))
 
 
-def _sample_parts(
-    dim_a: int, dim_b: int, seed: int, index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    rng = _sample_stream(seed, index)
-    joint = dim_a * dim_b
-    psi = rng.standard_normal(joint) + 1j * rng.standard_normal(joint)
-    psi /= np.linalg.norm(psi)
-    a0 = _random_observable(rng, dim_a)
-    a1 = _random_observable(rng, dim_a)
-    b0 = _random_observable(rng, dim_b)
-    b1 = _random_observable(rng, dim_b)
-
-    matrix = psi.reshape(dim_a, dim_b)
-    values = []
-    for a_obs, b_obs in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)):
-        value = complex(
-            np.vdot(matrix, a_obs @ matrix @ b_obs.T)
+def _sample_block(
+    dim_a: int, dim_b: int, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """States (n, dim_a * dim_b), observables (A0, A1, B0, B1), each
+    (n, d, d), and correlation rows (n, 4) of indices start..stop-1."""
+    n, joint = stop - start, dim_a * dim_b
+    dims = (dim_a, dim_a, dim_b, dim_b)
+    state = np.empty((n, 2, joint))
+    raws = [np.empty((n, 2, d, d)) for d in dims]
+    bits = [np.empty((n, d)) for d in dims]
+    for k in range(n):  # each index draws from its own stream, in order
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence((seed % 2**64, start + k)))
         )
-        values.append(min(1.0, max(-1.0, value.real)))
-    return psi, a0, a1, b0, b1, values
+        rng.standard_normal(out=state[k].reshape(-1))
+        for raw, pattern_bits, d in zip(raws, bits, dims):
+            rng.standard_normal(out=raw[k].reshape(-1))
+            pattern_bits[k] = rng.integers(0, 2, size=d)
+    # each step below acts on every index alone, so rows do not depend on n
+    psi = state[:, 0] + 1j * state[:, 1]
+    re, im = psi.real[:, None], psi.imag[:, None]
+    # the strided dot products np.linalg.norm forms for one complex vector
+    psi /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    a0, a1, b0, b1 = observables = tuple(map(_haar_observables, raws, bits))
+    b_t = np.stack((b0, b1), axis=1).swapaxes(2, 3)[:, None]
+    # vdot(M, A_a M B_b^T) for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1)
+    matrix = psi.reshape(n, 1, dim_a, dim_b)
+    products = (np.stack((a0, a1), axis=1) @ matrix)[:, :, None] @ b_t
+    values = psi.conj()[:, None, None, None] @ products.reshape(n, 2, 2, joint, 1)
+    return psi, observables, np.clip(values.reshape(n, 4).real, -1.0, 1.0)
 
 
 def sample_quantum(
@@ -341,18 +352,20 @@ def sample_quantum(
     docstring for the exact stream layout.
     """
     _check_dims(dim_a, dim_b)
-    psi, a0, a1, b0, b1, values = _sample_parts(dim_a, dim_b, seed, index)
-    realization = Realization(
-        state=np.outer(psi, psi.conj()), a0=a0, a1=a1, b0=b0, b1=b1
-    )
-    return CorrelationVector(*values), realization
+    psi, observables, values = _sample_block(dim_a, dim_b, seed, index, index + 1)
+    state = np.outer(psi[0], psi[0].conj())
+    realization = Realization(state, *(obs[0] for obs in observables))
+    return CorrelationVector(*values[0].tolist()), realization
 
 
 def _sample_chunk(args: tuple[int, int, int, int, int]) -> np.ndarray:
     start, stop, dim_a, dim_b, seed = args
     out = np.empty((stop - start, 4))
-    for offset, index in enumerate(range(start, stop)):
-        out[offset] = _sample_parts(dim_a, dim_b, seed, index)[5]
+    for low in range(start, stop, _SAMPLE_BLOCK):
+        high = min(low + _SAMPLE_BLOCK, stop)
+        out[low - start:high - start] = _sample_block(
+            dim_a, dim_b, seed, low, high
+        )[2]
     return out
 
 

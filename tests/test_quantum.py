@@ -13,6 +13,7 @@ from corrset.errors import DimensionError, InvariantViolationError
 from corrset.geometry import Decomposition, GeneratorPoint, decompose
 from corrset.membership import chsh_combinations, quantum_margins
 from corrset.quantum import (
+    _SAMPLE_BLOCK,
     PhaseParams,
     Realization,
     expectation,
@@ -177,6 +178,16 @@ def test_decompose_and_realize_demo_round_trip(capsys):
     assert float(found.group(1)) <= 1e-8
 
 
+def test_random_strategy_sweep_demo(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "random_strategy_sweep.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("5000 strategies") == 3
+    assert out.rstrip().endswith(
+        "gets close to, but never beyond, the 2*sqrt(2) ceiling."
+    )
+
+
 def test_realization_json_round_trip():
     r = realize_mixture(decompose(CorrelationVector(0.5, 0.25, 0.0, 0.125)))
     data = r.to_json_dict()
@@ -213,6 +224,58 @@ def test_sample_correlations_matches_per_index():
     for index in (0, 7, 19):
         x, _ = sample_quantum(seed=9, index=index)
         assert tuple(rows[index]) == x.as_tuple()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5)])
+def test_sample_rows_do_not_depend_on_block(dims, workers):
+    count = 2 * _SAMPLE_BLOCK + 3
+    rows = sample_correlations(count, *dims, seed=17, workers=workers)
+    for index in (_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, count - 1):
+        x, _ = sample_quantum(*dims, seed=17, index=index)
+        assert tuple(rows[index]) == x.as_tuple()
+
+
+def _documented_draw(dim_a, dim_b, seed, index):
+    """State and observables drawn call by call in the order the quantum
+    module docstring states."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((seed % 2**64, index)))
+    )
+    joint = dim_a * dim_b
+    psi = rng.standard_normal(joint) + 1j * rng.standard_normal(joint)
+    psi = psi / np.linalg.norm(psi)
+    observables = []
+    for dim in (dim_a, dim_a, dim_b, dim_b):
+        real = rng.standard_normal((dim, dim))
+        imag = rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(real + 1j * imag)
+        unitary = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+        signs = 1 - 2 * rng.integers(0, 2, size=dim)
+        observables.append(unitary @ np.diag(signs) @ unitary.conj().T)
+    return np.outer(psi, psi.conj()), observables
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (5, 3), (8, 8)])
+def test_sample_stream_layout(dims):
+    for seed, index in ((4, 0), (4, 33), (-3, 5), (2**64 + 4, 33)):
+        state, observables = _documented_draw(*dims, seed, index)
+        x, r = sample_quantum(*dims, seed=seed, index=index)
+        assert np.abs(r.state - state).max() <= 1e-12
+        for got, want in zip((r.a0, r.a1, r.b0, r.b1), observables):
+            assert np.abs(got - want).max() <= 1e-12
+        rho = state.reshape(dims * 2)
+        want_x = [
+            np.einsum("ijkl,ki,lj->", rho, a, b).real
+            for a in observables[:2]
+            for b in observables[2:]
+        ]
+        assert np.abs(np.array(x.as_tuple()) - want_x).max() <= 1e-12
+
+
+def test_sample_correlations_empty():
+    assert sample_correlations(0).shape == (0, 4)
+    assert sample_correlations(0, 3, 5, seed=2, workers=2).shape == (0, 4)
 
 
 def test_sample_correlations_workers_agree():
