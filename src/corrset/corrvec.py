@@ -17,9 +17,11 @@ the sorting condition
     x1 >= x2 >= x3 >= |x4|,
 
 for which each eight-inequality membership system collapses to a single
-binding inequality.  `canonicalize` produces that representative together
-with the group element realizing it, chosen deterministically so results
-are reproducible bit for bit.
+binding inequality.  `canonicalize` computes that representative straight
+from the component values: the magnitudes in descending order, with the
+last one negated when the sign parity is odd.  The group element realizing
+it is built only on demand, by `CanonicalForm.op`, and is chosen
+deterministically so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -186,15 +188,30 @@ class SymmetryOp:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """A canonical representative plus the op that produced it.
+    """A canonical representative of `source`, plus the op that produced it.
 
-    `op.apply(x)` equals `canonical` exactly, and `op.inverse().apply(canonical)`
-    recovers the original vector exactly, because the group acts by
-    permutation and sign flip only.
+    `canonical` is computed from the component values alone; `op` is built
+    from `source` on first read.  `op.apply(source)` equals `canonical`
+    exactly, and `op.inverse().apply(canonical)` recovers `source` exactly,
+    because the group acts by permutation and sign flip only.
     """
 
     canonical: CorrelationVector
-    op: SymmetryOp
+    source: CorrelationVector
+
+    @cached_property
+    def op(self) -> SymmetryOp:
+        """The group element of the sort-and-flip rule in `canonicalize`."""
+        comps = self.source.as_tuple()
+        order = sorted(range(4), key=lambda j: (-abs(comps[j]), j))
+        perm = [0, 0, 0, 0]
+        for target, j in enumerate(order):
+            perm[j] = target
+        signs = [-1 if comps[j] < 0.0 else 1 for j in order]
+        if signs[0] * signs[1] * signs[2] * signs[3] == -1:
+            # zeros sort last, so a zero absorbing the flip is at position 4
+            signs[3] = -signs[3]
+        return SymmetryOp(tuple(perm), tuple(signs))
 
 
 def is_s_ordered(x: CorrelationVector, slack: float = 0.0) -> bool:
@@ -210,34 +227,26 @@ def is_s_ordered(x: CorrelationVector, slack: float = 0.0) -> bool:
 def canonicalize(x: CorrelationVector) -> CanonicalForm:
     """Deterministic canonical representative under the 192-op group.
 
-    Construction: sort components by descending absolute value (ties broken
-    by original index, so the sort is stable), then flip signs pairwise so
-    the first three components are nonnegative.  A residual odd flip is
-    absorbed by the zero component of highest index when one exists;
-    otherwise position 4 carries the leftover minus sign.
+    The values come first: the magnitudes in descending order, the last one
+    negated when an odd number of components is negative and it is nonzero
+    (a zero absorbs the odd flip and stays +0.0).  The group element, built
+    only when `CanonicalForm.op` is read, sorts components by descending
+    absolute value (ties broken by original index), then flips signs
+    pairwise so the first three are nonnegative; position 4 carries any
+    leftover minus sign.
     """
     comps = x.as_tuple()
-    order = sorted(range(4), key=lambda j: (-abs(comps[j]), j))
-    perm = [0, 0, 0, 0]
-    for target, source in enumerate(order):
-        perm[source] = target
-    sorted_vals = [comps[j] for j in order]
-
-    signs = [1, 1, 1, 1]
-    flips = 0
-    for k in range(4):
-        if sorted_vals[k] < 0.0:
-            signs[k] = -1
-            flips += 1
-    if flips % 2 == 1:
-        zeros = [k for k in range(4) if sorted_vals[k] == 0.0]
-        if zeros:
-            signs[zeros[-1]] *= -1
-        else:
-            signs[3] *= -1
-
-    op = SymmetryOp(tuple(perm), tuple(signs))
-    return CanonicalForm(canonical=op.apply(x), op=op)
+    values = sorted(map(abs, comps), reverse=True)
+    negatives = (
+        (comps[0] < 0.0) + (comps[1] < 0.0) + (comps[2] < 0.0) + (comps[3] < 0.0)
+    )
+    if negatives % 2 and values[3] != 0.0:
+        values[3] = -values[3]
+    # the magnitudes of a CorrelationVector's components are finite and never
+    # -0.0, which is all its constructor enforces, so they skip it
+    canonical = object.__new__(CorrelationVector)
+    canonical.__dict__.update(zip(_COMPONENT_NAMES, values))
+    return CanonicalForm(canonical, x)
 
 
 @lru_cache(maxsize=1)

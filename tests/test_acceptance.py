@@ -1,12 +1,12 @@
 """Acceptance gate: the ten headline guarantees, one test per criterion.
 
-Each test prints a single PASS/FAIL line on the real stdout so the
-verdicts survive output capture.  Run with `pytest tests/test_acceptance.py -v`
-(add -s to also see intermediate output inline).
+Each test prints a single PASS/FAIL line with its runtime; tests/conftest.py
+repeats those lines in the terminal summary, so they show in a plain run.
+Run with `pytest tests/test_acceptance.py -v` (add -s to see the lines and
+any intermediate output inline).
 """
 
 import math
-import sys
 import time
 from contextlib import contextmanager
 
@@ -43,13 +43,10 @@ def criterion(number: int, label: str):
     try:
         yield
     except BaseException:
-        print(f"FAIL criterion {number:2d}: {label}", file=sys.__stdout__)
+        print(f"FAIL criterion {number:2d}: {label}")
         raise
     elapsed = time.perf_counter() - start
-    print(
-        f"PASS criterion {number:2d}: {label} ({elapsed:.1f}s)",
-        file=sys.__stdout__,
-    )
+    print(f"PASS criterion {number:2d}: {label} ({elapsed:.1f}s)")
 
 
 def test_criterion_01_tsirelson_saturation():

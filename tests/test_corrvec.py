@@ -23,6 +23,16 @@ from corrset.errors import NonFiniteInputError, OutOfBoxError
 components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 vectors = st.tuples(components, components, components, components)
 
+# mostly ties, signed zeros and odd sign parities, some uniform values
+special = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0))
+tie_prone = st.one_of(special, special, special, components)
+tie_prone_vectors = st.tuples(tie_prone, tie_prone, tie_prone, tie_prone)
+
+
+def _signed(x: CorrelationVector) -> tuple:
+    """Components paired with their sign bits, so +0.0 and -0.0 differ."""
+    return tuple((v, math.copysign(1.0, v)) for v in x.as_tuple())
+
 
 def any_group_op():
     return st.sampled_from(full_symmetry_group())
@@ -160,6 +170,33 @@ def test_canonicalize_idempotent(t):
     again = canonicalize(z)
     assert again.canonical == z
     assert again.op.is_identity or again.op.apply(z) == z
+
+
+@given(tie_prone_vectors)
+@settings(max_examples=150)
+def test_canonical_values_match_op_and_orbit(t):
+    x = CorrelationVector(*t)
+    form = canonicalize(x)
+    assert _signed(form.op.apply(x)) == _signed(form.canonical)
+    for g in full_symmetry_group():
+        assert _signed(canonicalize(g.apply(x)).canonical) == _signed(form.canonical)
+
+
+@pytest.mark.parametrize(
+    "t, perm, signs, canonical",
+    [
+        # tie between x2 and x3: the lower index goes first
+        ((0.3, 0.7, -0.7, 0.1), (2, 0, 1, 3), (1, -1, 1, -1), (0.7, 0.7, 0.3, -0.1)),
+        # one minus and a zero: the zero absorbs the odd flip and stays +0.0
+        ((-0.5, 0.0, 0.25, 0.75), (1, 3, 2, 0), (1, -1, 1, -1), (0.75, 0.5, 0.25, 0.0)),
+        # three minuses, no zero: the leftover minus lands on x4
+        ((-0.4, -0.3, -0.2, 0.1), (0, 1, 2, 3), (-1, -1, -1, -1), (0.4, 0.3, 0.2, -0.1)),
+    ],
+)
+def test_canonical_group_element_pinned(t, perm, signs, canonical):
+    form = canonicalize(CorrelationVector(*t))
+    assert form.op == SymmetryOp(perm, signs)
+    assert _signed(form.canonical) == _signed(CorrelationVector(*canonical))
 
 
 def test_is_s_ordered_cases():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from corrset import membership
 from corrset.checks import deterministic_strategy_vectors
-from corrset.corrvec import CorrelationVector, full_symmetry_group
+from corrset.corrvec import CanonicalForm, CorrelationVector, full_symmetry_group
+from corrset.errors import InternalCheckError
 from corrset.membership import (
     CLASSICAL_BOUND,
     QUANTUM_BOUND,
@@ -198,3 +200,17 @@ def test_chsh_combinations_columns():
     got = chsh_combinations(x)
     assert got.shape == (8,)
     assert np.allclose(got, SIGN_PATTERNS @ x, atol=0)
+
+
+def test_cross_check_fires_on_wrong_canonical_value(monkeypatch):
+    # a canonical form that drops x4's minus sign undercounts the binding
+    # combination, and the eight-value maxima must catch it
+    x = CorrelationVector(0.9, 0.5, 0.3, -0.2)
+    wrong = CorrelationVector(0.9, 0.5, 0.3, 0.2)
+    max_chsh = max(evaluate(x).chsh_values)
+    monkeypatch.setattr(membership, "canonicalize", lambda v: CanonicalForm(wrong, v))
+    with pytest.raises(InternalCheckError) as info:
+        evaluate(x)
+    message = str(info.value)
+    assert repr(0.9 + 0.5 + 0.3 - 0.2) in message
+    assert repr(max_chsh) in message
