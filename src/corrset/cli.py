@@ -313,6 +313,8 @@ def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
 
 def cmd_check_lemmas(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
+    if args.samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {args.samples}")
     hessian_step = args.step if args.step else args.hessian_step
     angle_step = args.step if args.step else args.anglesum_step
 

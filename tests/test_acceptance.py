@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from corrset.checks import (
+    ScanResult,
     angle_sum_max_scan,
     curvature_positivity_scan,
     deterministic_strategy_vectors,
@@ -120,6 +121,10 @@ def test_criterion_06_curvature_positivity():
         result = curvature_positivity_scan(step=0.01, margin=0.05)
         assert result.violations == 0
         assert result.min_value >= -1e-9
+        # pinned bit for bit
+        assert result == ScanResult(
+            0.01, 48.00691003067614, (0.7892036732051035,) * 3, 0
+        )
         assert time.perf_counter() - start < 120.0
 
 
@@ -130,6 +135,13 @@ def test_criterion_07_angle_sum_maximum():
         attained = math.pi - result.min_value
         assert result.violations == 0
         assert math.pi - 0.04 <= attained <= math.pi + 1e-9
+        # pinned bit for bit
+        assert result == ScanResult(
+            0.02,
+            -1.554312234475219e-14,
+            (-1.541592653589793, 1.558407346410207, 1.558407346410207),
+            0,
+        )
         assert time.perf_counter() - start < 60.0
 
 

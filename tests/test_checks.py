@@ -15,6 +15,10 @@ from corrset.checks import (
     ANGLE_SUM_THRESHOLD,
     CURVATURE_THRESHOLD,
     ScanResult,
+    _curvature_slabs,
+    _grid_axis,
+    _negated_angle_sum_slabs,
+    _pair_sum_table,
     angle_sum_max_scan,
     angle_sum_value,
     classical_vertices,
@@ -149,6 +153,78 @@ def test_angle_sum_scan_counts_violations():
     assert angle_sum_max_scan(step=0.05, threshold=-1.0, workers=2) == expected
 
 
+def test_scan_violation_counts_pinned():
+    # thresholds moved into the range of values, so many grid points count
+    curvature = ScanResult(0.03, 48.00691003067614, (0.7892036732051035,) * 3, 12_161)
+    angle = ScanResult(
+        0.03, -1.2434497875801753e-14, (1.5684073464102068,) * 3, 824_223
+    )
+    for workers in (1, 2):
+        assert (
+            curvature_positivity_scan(step=0.03, threshold=100.0, workers=workers)
+            == curvature
+        )
+        assert angle_sum_max_scan(step=0.03, threshold=-0.5, workers=workers) == angle
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "limit, step",
+    [
+        (0.5 * math.pi - 0.05, 0.01),
+        (math.pi, 0.02),
+        (math.pi, 0.037),
+        (0.5 * math.pi - 0.2, 0.0123),
+        (1.0, 1.0 / 3.0),
+    ],
+)
+def test_pair_sum_table_is_bitwise(limit, step):
+    axis = _grid_axis(limit, step)
+    heads, where = _pair_sum_table(axis)
+    assert (np.diff(heads) > 0.0).all()
+    assert (_bits(heads[where]) == _bits(axis[:, None] + axis[None, :])).all()
+
+
+def _direct_curvature_slab(axis, i, margin):
+    # the scan's values evaluated point by point on the whole grid
+    totals = axis[i] + axis[:, None] + axis[None, :]
+    mask = (totals >= 0.5 * math.pi + margin) & (totals <= 1.5 * math.pi - margin)
+    if not mask.any():
+        return None
+    sin_term = np.sin(axis) / np.cos(axis) ** 5
+    weight_term = 1.0 / np.cos(axis) ** 2
+    values = (sin_term[i] + sin_term[:, None] + sin_term[None, :]) - np.tan(
+        totals
+    ) * (weight_term[i] + weight_term[:, None] + weight_term[None, :]) ** 2
+    return np.where(mask, values, np.inf)
+
+
+def _direct_angle_slab(axis, i):
+    totals = axis[i] + axis[:, None] + axis[None, :]
+    negated = -np.arcsin(np.sin(axis))
+    return (negated[i] + negated[:, None] + negated[None, :]) - np.arcsin(
+        np.sin(totals)
+    )
+
+
+@pytest.mark.parametrize("step, margin", [(0.1, 0.05), (0.07, 0.2), (0.043, 0.5)])
+def test_slabs_match_direct_evaluation(step, margin):
+    axis, slab = _curvature_slabs(step, margin)
+    for i in range(axis.size):
+        direct = _direct_curvature_slab(axis, i, margin)
+        values = slab(i)
+        if direct is None:
+            assert values is None
+        else:
+            assert (_bits(values) == _bits(direct)).all()
+    axis, slab = _negated_angle_sum_slabs(step)
+    for i in range(axis.size):
+        assert (_bits(slab(i)) == _bits(_direct_angle_slab(axis, i))).all()
+
+
 def test_scan_rejects_bad_parameters():
     with pytest.raises(DomainError):
         curvature_positivity_scan(step=0.0)
@@ -158,6 +234,15 @@ def test_scan_rejects_bad_parameters():
         angle_sum_max_scan(step=math.nan)
     with pytest.raises(DomainError):
         curvature_positivity_scan(step=0.01, margin=2.0)
+
+
+def test_scan_rejects_unindexable_grid():
+    # refused from the step alone: no axis or slab is allocated
+    for step in (1e-300, 5e-324):
+        with pytest.raises(DomainError, match=f"step {step!r} gives"):
+            curvature_positivity_scan(step=step)
+        with pytest.raises(DomainError, match=f"step {step!r} gives"):
+            angle_sum_max_scan(step=step)
 
 
 def test_scan_result_json():

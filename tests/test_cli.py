@@ -219,6 +219,15 @@ def test_check_lemmas_self_test_fail(capsys):
     assert "forced-self-test-failure" in err
 
 
+def test_check_lemmas_rejects_bad_samples_and_step(capsys):
+    for argv in (["--samples", "0"], ["--samples", "-1"], ["--step", "1e-300"]):
+        code, out, err = run(capsys, "check-lemmas", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert argv[1] in err
+
+
 def test_slice_classical(capsys):
     code, out, _ = run(capsys, "slice", "3", "C")
     lines = out.strip().splitlines()
