@@ -410,10 +410,13 @@ def _check_scan_params(step: float, margin: float | None) -> None:
     limit = math.pi if margin is None else 0.5 * math.pi - margin
     # _grid_axis's count up to its floor, found without making an array
     count = 2.0 * limit / step + 1.0
-    if count * count > np.iinfo(np.intp).max:
+    # the largest arrays a scan builds from the axis are (n, n) float64:
+    # the pair sums, and a slab; numpy allocates no array of more bytes
+    # than its index type counts, which also bounds the axis itself
+    if count * count * np.dtype(float).itemsize > np.iinfo(np.intp).max:
         raise DomainError(
             f"step {step!r} gives {count:.4g} grid points per axis, too many "
-            "to index an (n, n) slab"
+            "to allocate the (n, n) pair sums and slabs"
         )
 
 

@@ -317,6 +317,9 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
         raise DomainError(f"sample count must be at least 1, got {args.samples}")
     hessian_step = args.step if args.step else args.hessian_step
     angle_step = args.step if args.step else args.anglesum_step
+    # refuse either grid before the other scan runs
+    checks._check_scan_params(hessian_step, args.hessian_margin)
+    checks._check_scan_params(angle_step, None)
 
     results = []
 

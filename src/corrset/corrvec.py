@@ -190,10 +190,12 @@ class SymmetryOp:
 class CanonicalForm:
     """A canonical representative of `source`, plus the op that produced it.
 
-    `canonical` is computed from the component values alone; `op` is built
-    from `source` on first read.  `op.apply(source)` equals `canonical`
-    exactly, and `op.inverse().apply(canonical)` recovers `source` exactly,
-    because the group acts by permutation and sign flip only.
+    `canonical` is computed from the component values alone; `op` and
+    `inverse_op` are built from `source` on first read, without the checks
+    a public `SymmetryOp(...)` runs, since the sort-and-flip rule only
+    yields group elements.  `op.apply(source)` equals `canonical` exactly,
+    and `inverse_op.apply(canonical)` recovers `source` exactly, because the
+    group acts by permutation and sign flip only.
     """
 
     canonical: CorrelationVector
@@ -211,7 +213,25 @@ class CanonicalForm:
         if signs[0] * signs[1] * signs[2] * signs[3] == -1:
             # zeros sort last, so a zero absorbing the flip is at position 4
             signs[3] = -signs[3]
-        return SymmetryOp(tuple(perm), tuple(signs))
+        return _group_element(tuple(perm), tuple(signs))
+
+    @cached_property
+    def inverse_op(self) -> SymmetryOp:
+        """`op.inverse()`, the group element carrying `canonical` to `source`."""
+        op = self.op
+        return _group_element(
+            op.source_indices(), tuple(op.signs[p] for p in op.perm)
+        )
+
+
+def _group_element(
+    perm: tuple[int, int, int, int], signs: tuple[int, int, int, int]
+) -> SymmetryOp:
+    """A SymmetryOp from int tuples that form a group element by
+    construction, built without the checks of `SymmetryOp.__post_init__`."""
+    op = object.__new__(SymmetryOp)
+    op.__dict__.update(perm=perm, signs=signs)
+    return op
 
 
 def is_s_ordered(x: CorrelationVector, slack: float = 0.0) -> bool:

@@ -19,11 +19,13 @@ generators.  The algorithm:
    through the face y1 = 1 of the box (split the face point z = y/y1
    between the two generators that pin its fourth coordinate from below
    and above) or through the curved arcsine boundary.  The curved crossing
-   is the point sin(theta1) * z, and the bisection runs on the angle
+   is the point sin(theta1) * z, and the root search runs on the angle
    theta1 in [pi/4, pi/2], not on t: each term asin(z_i sin theta1) has
    slope at most 1 in theta1, so a one-ulp bracket bounds the arcsine
    residual even where the ray leaves next to the box corner, where the
-   slope in t is unbounded.  The hit point is the generator
+   slope in t is unbounded.  Safeguarded Newton steps shrink the bracket,
+   and single-ulp probes finish it, in about 7 evaluations of the arcsine
+   sum (see `_boundary_angle`).  The hit point is the generator
    G(theta1, asin(z2 s), asin(z3 s)) with s = sin theta1, taken with
    weight y1 / s.
 
@@ -322,8 +324,10 @@ def angle_transport(op: SymmetryOp, g: GeneratorPoint) -> GeneratorPoint:
 
 def _ray_arcsines(
     z: tuple[float, float, float, float], delta: float
-) -> list[float]:
-    """asin(z_i cos delta) for i = 2, 3, 4, each accurate in absolute terms.
+) -> tuple[list[float], float]:
+    """asin(z_i cos delta) for i = 2, 3, 4, each accurate in absolute terms,
+    and the slope of asin(z2 s) + asin(z3 s) - asin(z4 s) in theta, where
+    s = sin theta = cos delta.
 
     Every |z_i| <= 1, so no argument leaves [-1, 1] and no clamp is needed.
     Each is formed as atan2(u, sqrt(1 - u^2)) with 1 - |u| = (1 - |z_i|) +
@@ -331,14 +335,20 @@ def _ray_arcsines(
     cancels where u = z_i cos delta is within rounding of +-1.  A plain
     asin(z_i * sin theta) there turns the last-ulp rounding of its argument
     into an error of up to 1.5e-8 in the angle (for example when z2 = 1).
+    The slope sums +-z_i cos theta / sqrt(1 - u^2) over the same roots.
     """
     c = math.cos(delta)
+    s = math.sin(delta)
     h = 2.0 * math.sin(0.5 * delta) ** 2
     angles = []
-    for v in z[1:]:
+    slope = 0.0
+    for sign, v in zip((1.0, 1.0, -1.0), z[1:]):
         w = (1.0 - abs(v)) + abs(v) * h
-        angles.append(math.atan2(v * c, math.sqrt(w * (2.0 - w))))
-    return angles
+        root = math.sqrt(w * (2.0 - w))
+        angles.append(math.atan2(v * c, root))
+        # root vanishes only at delta = 0 with |z_i| = 1, where s / root -> 1
+        slope += sign * v * (s / root if root else 1.0)
+    return angles, slope
 
 
 def _boundary_angle(z: tuple[float, float, float, float]) -> float:
@@ -352,22 +362,44 @@ def _boundary_angle(z: tuple[float, float, float, float]) -> float:
     asin(z_i sin theta) has slope at most 1 in theta, and the s-order
     z3 >= |z4| keeps the z4 term from outweighing the z3 term: g increases
     with slope between 1 and 4.  No term exceeds theta, so g(pi/4) <= 0.
-    The bisection runs until the midpoint rounds to an endpoint, at most
-    about 55 halvings; the bracket is then one ulp wide, and the slope
-    bound holds the residual to a few ulps of pi/2, however close to the
-    box corner the crossing lies.  The terms come from `_ray_arcsines`,
-    whose rounding does not break that bound.
+
+    Safeguarded Newton finds the root.  The bracket [lo, hi] starts at
+    [pi/4, pi/2] and keeps g(lo) < 0 <= g(hi) as each iterate replaces one
+    end.  The Newton step g / g' uses the slope `_ray_arcsines` returns
+    with the terms.  A step that would leave the open bracket goes to the
+    inner neighbour of the end it crosses instead, since the root then lies
+    next to that end; if the step before did that too, it goes to the
+    midpoint, which halves the bracket.  A step that rounds back to its own
+    iterate moves one ulp toward the other end.  The search stops when the
+    bracket is one ulp wide and returns hi: the smallest float at which g
+    reads nonnegative, wherever the computed g is monotone, as a bisection
+    run to a one-ulp bracket would return.  That takes about 7 evaluations
+    of g instead of 54 halvings, and the slope bound holds the residual to
+    a few ulps of pi/2, however close to the box corner the crossing lies.
+    The terms come from `_ray_arcsines`, whose rounding does not break
+    that bound.
     """
     lo, hi = 0.25 * math.pi, 0.5 * math.pi
+    theta = 0.375 * math.pi
+    clamped = False
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        a2, a3, a4 = _ray_arcsines(z, 0.5 * math.pi - mid)
-        if mid + a2 + a3 - a4 - math.pi < 0.0:
-            lo = mid
+        (a2, a3, a4), slope = _ray_arcsines(z, 0.5 * math.pi - theta)
+        g = theta + a2 + a3 - a4 - math.pi
+        if g < 0.0:
+            lo = theta
         else:
-            hi = mid
+            hi = theta
+        if math.nextafter(lo, hi) == hi:
+            return hi
+        step = theta - g / (1.0 + slope)
+        if step == theta:
+            step = math.nextafter(theta, hi if g < 0.0 else lo)
+        clamped = not (lo < step < hi or clamped)
+        if clamped:
+            step = math.nextafter(lo, hi) if step <= lo else math.nextafter(hi, lo)
+        elif not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        theta = step
 
 
 def decompose(
@@ -419,7 +451,9 @@ def decompose(
             # the ray exits through the curved boundary at sin(theta1) * z
             face_point = z.as_tuple()
             theta1 = _boundary_angle(face_point)
-            phi2, phi3, _ = _ray_arcsines(face_point, 0.5 * math.pi - theta1)
+            (phi2, phi3, _), _ = _ray_arcsines(
+                face_point, 0.5 * math.pi - theta1
+            )
             generator = GeneratorPoint(theta1, phi2, phi3)
             weight = min(1.0, scale / math.sin(theta1))
             if 1.0 - weight > 0.0:
@@ -430,7 +464,7 @@ def decompose(
             else:
                 terms = ((1.0, generator),)
 
-    inverse = form.op.inverse()
+    inverse = form.inverse_op
     if not inverse.is_identity:
         terms = tuple((w, angle_transport(inverse, g)) for w, g in terms)
 

@@ -106,7 +106,22 @@ class Realization:
 
     def validate(self) -> None:
         """Run all invariant checks; raise InvariantViolationError naming
-        the first failed check."""
+        the first failed check.
+
+        The observables are checked one party at a time, A0 and A1 as one
+        (2, d, d) stack, then B0 and B1, for finiteness, Hermiticity and
+        involution, with O^2 - I formed by subtracting 1 on the diagonal.
+        Only when a party's stack fails are its observables checked one by
+        one, in the order A0, A1, B0, B1, to name the first failed check.
+
+        The state is checked on its support S, the rows and columns holding
+        a nonzero entry.  Outside S x S every entry is zero, so finiteness
+        and Hermiticity hold there, and the matrix `eigvalsh` reads is
+        block-diag(state[S, S], 0) up to a permutation: its smallest
+        eigenvalue is that of state[S, S], or 0 when S leaves rows out.
+        The trace is taken on the whole state.  A mixture state has support
+        4 of 16 or 6 of 36.
+        """
         dim_a, dim_b = self.dims
         joint = dim_a * dim_b
         if self.state.shape != (joint, joint):
@@ -114,41 +129,43 @@ class Realization:
                 f"check 'state-shape' failed: state is {self.state.shape}, "
                 f"expected {(joint, joint)}"
             )
-        for name, obs in (
-            ("A0", self.a0),
-            ("A1", self.a1),
-            ("B0", self.b0),
-            ("B1", self.b1),
+        for names, pair in (
+            (("A0", "A1"), (self.a0, self.a1)),
+            (("B0", "B1"), (self.b0, self.b1)),
         ):
-            d = obs.shape[0]
-            if obs.shape != (d, d):
-                raise InvariantViolationError(
-                    f"check 'observable-shape' failed for {name}"
-                )
-            if not np.all(np.isfinite(obs.view(float))):
-                raise InvariantViolationError(
-                    f"check 'observable-finite' failed for {name}"
-                )
-            if np.abs(obs - obs.conj().T).max() > _HERMITIAN_TOLERANCE:
-                raise InvariantViolationError(
-                    f"check 'observable-hermitian' failed for {name}"
-                )
-            square_residual = np.abs(obs @ obs - np.eye(d)).max()
-            if square_residual > _INVOLUTION_TOLERANCE:
-                raise InvariantViolationError(
-                    f"check 'observable-involution' failed for {name}: "
-                    f"|O^2 - I| = {square_residual:.3e}"
-                )
-        if not np.all(np.isfinite(self.state.view(float))):
+            first, second = pair
+            d = first.shape[0]
+            if first.shape == second.shape == (d, d) and first.dtype == second.dtype:
+                if _failed_observable_check(np.array(pair)) is None:
+                    continue
+            for name, obs in zip(names, pair):
+                d = obs.shape[0]
+                if obs.shape != (d, d):
+                    raise InvariantViolationError(
+                        f"check 'observable-shape' failed for {name}"
+                    )
+                failed = _failed_observable_check(np.array([obs]))
+                if failed is not None:
+                    check, detail = failed
+                    raise InvariantViolationError(
+                        f"check '{check}' failed for {name}{detail}"
+                    )
+        # NaN compares unequal to 0, so a non-finite entry joins the support
+        nonzero = self.state != 0.0
+        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        block = self.state[support[:, None], support]
+        if not np.isfinite(block.view(float)).all():
             raise InvariantViolationError("check 'state-finite' failed")
         trace_residual = abs(np.trace(self.state) - 1.0)
         if trace_residual > _TRACE_TOLERANCE:
             raise InvariantViolationError(
                 f"check 'state-trace' failed: |tr - 1| = {trace_residual:.3e}"
             )
-        if np.abs(self.state - self.state.conj().T).max() > _HERMITIAN_TOLERANCE:
+        if np.abs(block - block.conj().T).max() > _HERMITIAN_TOLERANCE:
             raise InvariantViolationError("check 'state-hermitian' failed")
-        smallest = float(np.linalg.eigvalsh(self.state)[0])
+        smallest = float(np.linalg.eigvalsh(block)[0])
+        if support.size < joint:
+            smallest = min(smallest, 0.0)
         if smallest < -_PSD_TOLERANCE:
             raise InvariantViolationError(
                 "check 'state-positive' failed: smallest eigenvalue "
@@ -188,6 +205,22 @@ class Realization:
         return realization
 
 
+def _failed_observable_check(stack: np.ndarray) -> tuple[str, str] | None:
+    """The first of the finite, Hermitian and involution checks that a
+    (k, d, d) stack of observables fails, with the detail its message
+    carries, or None when every observable passes them."""
+    if not np.isfinite(stack.view(float)).all():
+        return "observable-finite", ""
+    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > _HERMITIAN_TOLERANCE:
+        return "observable-hermitian", ""
+    square = stack @ stack
+    square.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] -= 1  # O^2 - I
+    residual = np.abs(square).max()
+    if residual > _INVOLUTION_TOLERANCE:
+        return "observable-involution", f": |O^2 - I| = {residual:.3e}"
+    return None
+
+
 def _complex_matrix_to_json(matrix: np.ndarray) -> list:
     # row-major nesting, each entry as [re, im]
     return [
@@ -206,57 +239,43 @@ def _complex_matrix_from_json(data: list) -> np.ndarray:
     return matrix
 
 
-def _phase_observable(theta: float) -> np.ndarray:
-    return np.array(
-        [[0.0, np.exp(1j * theta)], [np.exp(-1j * theta), 0.0]], dtype=complex
-    )
-
-
 def realize_generator(g: GeneratorPoint) -> Realization:
     """Two-qubit realization of a single generator."""
-    params = PhaseParams.from_generator(g)
-    amplitude = 1.0 / math.sqrt(2.0)
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = amplitude
-    psi[3] = amplitude * np.exp(1j * params.phi)
-    return Realization(
-        state=np.outer(psi, psi.conj()),
-        a0=_phase_observable(0.0),
-        a1=_phase_observable(params.alpha),
-        b0=_phase_observable(0.0),
-        b1=_phase_observable(params.beta),
-    )
+    return realize_mixture(Decomposition(((1.0, g),)))
 
 
 def realize_mixture(decomposition: Decomposition) -> Realization:
     """Block-diagonal realization of a generator mixture.
 
-    Party dimension is 2 * (number of terms); a single term gives exactly
-    `realize_generator` of that term.
+    Party dimension is 2 * (number of terms).  Term k's pair state, times
+    its weight, fills the entries <2k+a, 2k+a| rho |2k+b, 2k+b> for a, b in
+    {0, 1}, and its observables the 2x2 diagonal blocks at rows 2k, 2k+1.
     """
-    terms = decomposition.terms
-    count = len(terms)
+    count = len(decomposition.terms)
     local = 2 * count
-    a0 = np.zeros((local, local), dtype=complex)
-    a1 = np.zeros((local, local), dtype=complex)
-    b0 = np.zeros((local, local), dtype=complex)
-    b1 = np.zeros((local, local), dtype=complex)
+    params = [PhaseParams.from_generator(g) for g in decomposition.generators]
+    # one column per term: the state phase, then the angles of A0, A1, B0, B1
+    angles = np.array([(p.phi, 0.0, p.alpha, 0.0, p.beta) for p in params]).T
+    ups, downs = np.exp(1j * angles), np.exp(-1j * angles)
+    psi = np.zeros((count, 4), dtype=complex)
+    psi[:, 0] = 1.0 / math.sqrt(2.0)
+    psi[:, 3] = psi[:, 0] * ups[0]
+    # the products np.outer(psi, psi.conj()) forms, zero entries included
+    pairs = np.array(decomposition.weights)[:, None, None] * (
+        psi[:, :, None] * psi[:, None, :].conj()
+    )
     # state indexed as rho[i, j, k, l] = <i j| rho |k l>
     state = np.zeros((local, local, local, local), dtype=complex)
-
-    for k, (weight, generator) in enumerate(terms):
-        block = realize_generator(generator)
+    for k in range(count):
         rows = slice(2 * k, 2 * k + 2)
-        a0[rows, rows] = block.a0
-        a1[rows, rows] = block.a1
-        b0[rows, rows] = block.b0
-        b1[rows, rows] = block.b1
-        # the pair state of term k lives on the span of |2k+i, 2k+j>
-        state[rows, rows, rows, rows] = weight * block.state.reshape(2, 2, 2, 2)
-
+        state[rows, rows, rows, rows] = pairs[k].reshape(2, 2, 2, 2)
+    # entry (2k, 2k + 1) of an observable is e^{i t_k}, (2k + 1, 2k) e^{-i t_k}
+    observables = np.zeros((4, local * local), dtype=complex)
+    observables[:, 1::2 * local + 2] = ups[1:]
+    observables[:, local::2 * local + 2] = downs[1:]
     return Realization(
-        state=state.reshape(local * local, local * local),
-        a0=a0, a1=a1, b0=b0, b1=b1,
+        state.reshape(local * local, local * local),
+        *observables.reshape(4, local, local),
     )
 
 
@@ -273,8 +292,8 @@ def expectation(
         realization.validate()
     dim_a, dim_b = realization.dims
     rho = realization.state.reshape(dim_a, dim_b, dim_a, dim_b)
-    a_obs = np.stack((realization.a0, realization.a1))
-    b_obs = np.stack((realization.b0, realization.b1))
+    a_obs = np.array((realization.a0, realization.a1))
+    b_obs = np.array((realization.b0, realization.b1))
     # tr(rho (A_a x B_b)) = sum rho[(i,j),(k,l)] A_a[k,i] B_b[l,j]
     values = np.einsum("ijkl,aki,blj->ab", rho, a_obs, b_obs).ravel()
     worst = int(np.argmax(np.abs(values.imag)))

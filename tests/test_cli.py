@@ -228,6 +228,21 @@ def test_check_lemmas_rejects_bad_samples_and_step(capsys):
         assert argv[1] in err
 
 
+@pytest.mark.parametrize("flag", ["--anglesum-step", "--hessian-step"])
+def test_check_lemmas_refuses_unallocatable_grid(capsys, monkeypatch, flag):
+    # the grid passes the index bound but its (n, n) float64 arrays exceed
+    # the bytes numpy can allocate; no axis may be built for either scan
+    def no_axis(*args):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(cli.checks, "_grid_axis", no_axis)
+    code, out, err = run(capsys, "check-lemmas", flag, "2.1e-9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: step 2.1e-09 gives ")
+    assert "Traceback" not in err
+
+
 def test_slice_classical(capsys):
     code, out, _ = run(capsys, "slice", "3", "C")
     lines = out.strip().splitlines()

@@ -90,6 +90,38 @@ def test_bad_permutation_rejected():
         SymmetryOp(perm=(0, 0, 2, 3), signs=(1, 1, 1, 1))
 
 
+def test_bad_sign_rejected():
+    with pytest.raises(ValueError):
+        SymmetryOp(perm=(0, 1, 2, 3), signs=(2, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        (0.9, 0.5, 0.3, 0.1),
+        # ties
+        (0.7, 0.7, -0.3, 0.1),
+        (0.3, -0.3, 0.3, -0.3),
+        # signed zeros
+        (0.5, -0.0, 0.25, 0.0),
+        # one minus and a zero: the zero absorbs the odd flip
+        (-0.5, 0.0, 0.25, 0.75),
+        (-0.4, -0.3, -0.2, 0.1),
+    ],
+)
+def test_canonical_ops_equal_public_construction(t):
+    # op and inverse_op skip SymmetryOp's checks; over the whole orbit they
+    # equal the validated op built from the same fields, and op.inverse()
+    for g in full_symmetry_group():
+        form = canonicalize(g.apply(CorrelationVector(*t)))
+        for op in (form.op, form.inverse_op):
+            public = SymmetryOp(op.perm, op.signs)
+            assert op == public and hash(op) == hash(public)
+            assert all(type(v) is int for v in op.perm + op.signs)
+        assert form.inverse_op == form.op.inverse()
+        assert form.inverse_op.apply(form.canonical) == form.source
+
+
 def test_group_size():
     group = full_symmetry_group()
     assert len(group) == 192

@@ -14,6 +14,7 @@ from corrset.errors import (
     NotSOrderedError,
     PreconditionError,
 )
+from corrset import geometry
 from corrset.geometry import (
     AngleVector,
     Decomposition,
@@ -396,3 +397,74 @@ def test_decompose_loose_tolerance_only_admits():
         assert _max_residual(CorrelationVector(*values), tolerance=1e-6) <= 1e-9
     d = decompose(CorrelationVector(T, T, T, -T), tolerance=1e-6)
     assert len(d.terms) == 1
+
+
+def _g(z, theta):
+    """g(theta) of `_boundary_angle`'s docstring, from `_ray_arcsines`."""
+    (a2, a3, a4), _ = geometry._ray_arcsines(z, 0.5 * math.pi - theta)
+    return theta + a2 + a3 - a4 - math.pi
+
+
+def _bisected_angle(z):
+    """The root of g by bisection to a one-ulp bracket, returning hi."""
+    lo, hi = 0.25 * math.pi, 0.5 * math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if _g(z, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _corner_face_point(t2, t3, log_excess):
+    # arcsine sum of (1, sin t2, sin t3, sin t4) exceeds pi by 10**log_excess
+    t4 = t2 + t3 - 0.5 * math.pi - 10.0**log_excess
+    return (1.0, math.sin(t2), math.sin(t3), math.sin(t4)), t4
+
+
+@given(
+    st.one_of(st.just(0.5 * math.pi), st.floats(0.0, 0.5 * math.pi)),
+    st.floats(0.0, 0.5 * math.pi),
+    st.floats(min_value=-14.0, max_value=-1.0),
+)
+@settings(max_examples=300)
+def test_boundary_angle_newton_property(a, b, log_excess):
+    # the first strategy puts z2 = 1 (a tie with z1) among the examples
+    t2, t3 = max(a, b), min(a, b)
+    z, t4 = _corner_face_point(t2, t3, log_excess)
+    assume(abs(t4) <= t3 and _g(z, 0.5 * math.pi) > 0.0)
+    calls = []
+    arcsines = geometry._ray_arcsines
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            geometry,
+            "_ray_arcsines",
+            lambda *args: calls.append(1) or arcsines(*args),
+        )
+        theta = geometry._boundary_angle(z)
+    assert len(calls) <= 16
+    assert _g(z, theta) >= 0.0 > _g(z, math.nextafter(theta, 0.0))
+    reference = _bisected_angle(z)
+    assert abs(theta - reference) <= 4 * math.ulp(reference)
+
+
+def test_boundary_angle_matches_bisection_on_seeded_rays():
+    # 10,000 curved exits of uniform canonical vectors and 10,000 rays that
+    # leave next to the box corner; Newton and bisection share the
+    # postcondition, so they differ only where the computed g is not monotone
+    rng = np.random.default_rng(2024)
+    rays = []
+    while len(rays) < 10_000:
+        y = np.sort(np.abs(rng.uniform(-1.0, 1.0, size=4)))[::-1]
+        z = (1.0, y[1] / y[0], y[2] / y[0], rng.choice((-1.0, 1.0)) * y[3] / y[0])
+        if _g(z, 0.5 * math.pi) > 0.0:
+            rays.append(z)
+    while len(rays) < 20_000:
+        t2, t3 = sorted(rng.uniform(0.0, 0.5 * math.pi, size=2), reverse=True)
+        z, t4 = _corner_face_point(t2, t3, rng.uniform(-14.0, -1.0))
+        if abs(t4) <= t3 and _g(z, 0.5 * math.pi) > 0.0:
+            rays.append(z)
+    same = sum(geometry._boundary_angle(z) == _bisected_angle(z) for z in rays)
+    assert same >= 0.99 * len(rays)

@@ -157,6 +157,124 @@ def test_positivity_check_at_joint_dimension_36():
         broken.validate()
 
 
+def _unequal_dims_realization() -> Realization:
+    _, r = sample_quantum(dim_a=2, dim_b=4, seed=31, index=0)
+    r.validate()
+    assert r.dims == (2, 4)
+    return r
+
+
+def _non_finite(obs):
+    bad = obs.copy()
+    bad[0, 1] = complex(math.nan, 0.0)
+    return bad
+
+
+def _non_hermitian(obs):
+    bad = obs.copy()
+    bad[0, 1] += 0.1
+    return bad
+
+
+def _non_involutive(obs):
+    return 1.5 * obs
+
+
+@pytest.mark.parametrize("name", ["A0", "A1", "B0", "B1"])
+@pytest.mark.parametrize(
+    "corrupt, check",
+    [
+        (_non_finite, "observable-finite"),
+        (_non_hermitian, "observable-hermitian"),
+        (_non_involutive, "observable-involution"),
+    ],
+)
+def test_observable_checks_name_the_observable(name, corrupt, check):
+    r = _unequal_dims_realization()
+    fields = {"a0": r.a0, "a1": r.a1, "b0": r.b0, "b1": r.b1}
+    fields[name.lower()] = corrupt(fields[name.lower()])
+    broken = Realization(state=r.state, **fields)
+    with pytest.raises(InvariantViolationError) as info:
+        broken.validate()
+    assert re.fullmatch(rf"check '{check}' failed for {name}(: .*)?", str(info.value))
+
+
+def test_positivity_check_reads_off_diagonal_support():
+    # row 2 has a zero diagonal entry but a nonzero off-diagonal one, so the
+    # support is not the nonzero diagonal; the [[0.5, 0.1], [0.1, 0]] block
+    # has eigenvalue 0.25 - sqrt(0.0725) = -1.926e-2
+    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
+    state = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    state[0, 2] = state[2, 0] = 0.1
+    broken = Realization(state=state, a0=r.a0, a1=r.a1, b0=r.b0, b1=r.b1)
+    with pytest.raises(
+        InvariantViolationError, match=r"state-positive.*-1\.926e-02"
+    ):
+        broken.validate()
+
+
+def test_positivity_check_on_full_support():
+    # a I + b J with all entries nonzero: eigenvalues a + 4b and a = -0.05
+    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
+    state = -0.05 * np.eye(4) + 0.3 * np.ones((4, 4)) + 0j
+    assert np.count_nonzero(state) == 16
+    broken = Realization(state=state, a0=r.a0, a1=r.a1, b0=r.b0, b1=r.b1)
+    with pytest.raises(
+        InvariantViolationError, match=r"state-positive.*-5\.000e-02"
+    ):
+        broken.validate()
+
+
+def test_validate_accepts_non_contiguous_arrays():
+    # the transpose of a density matrix or of an observable is one too; a
+    # transposed view is not C-contiguous, and a failed check still names
+    # its observable
+    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
+    Realization(r.state.T, r.a0, r.a1.T, r.b0, r.b1).validate()
+    broken = Realization(r.state.T, r.a0, 1.5 * r.a1.T, r.b0, r.b1)
+    with pytest.raises(
+        InvariantViolationError, match=r"^check 'observable-involution' failed for A1"
+    ):
+        broken.validate()
+
+
+def _realize_term_by_term(decomposition: Decomposition) -> Realization:
+    """Mixture realization written one term at a time from np.outer and
+    per-entry phase factors, as a reference for the batched construction."""
+    count = len(decomposition.terms)
+    local = 2 * count
+    matrices = [np.zeros((local, local), dtype=complex) for _ in range(4)]
+    state = np.zeros((local,) * 4, dtype=complex)
+    for k, (weight, g) in enumerate(decomposition.terms):
+        p = PhaseParams.from_generator(g)
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0 / math.sqrt(2.0)
+        psi[3] = psi[0] * np.exp(1j * p.phi)
+        rows = slice(2 * k, 2 * k + 2)
+        pair = weight * np.outer(psi, psi.conj())
+        state[rows, rows, rows, rows] = pair.reshape(2, 2, 2, 2)
+        for matrix, theta in zip(matrices, (0.0, p.alpha, 0.0, p.beta)):
+            matrix[rows, rows] = np.array(
+                [[0.0, np.exp(1j * theta)], [np.exp(-1j * theta), 0.0]]
+            )
+    return Realization(state.reshape(local * local, -1), *matrices)
+
+
+def test_realize_mixture_is_bitwise_the_term_by_term_construction():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        count = int(rng.integers(1, 4))
+        gs = [GeneratorPoint(*rng.uniform(-math.pi, math.pi, size=3)) for _ in range(count)]
+        w = rng.dirichlet(np.ones(count))
+        d = Decomposition(tuple(zip(w.tolist(), gs)))
+        got, want = realize_mixture(d), _realize_term_by_term(d)
+        for a, b in zip(
+            (got.state, got.a0, got.a1, got.b0, got.b1),
+            (want.state, want.a0, want.a1, want.b0, want.b1),
+        ):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_expectation_real_check_names_the_correlator():
     r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
     # an anti-Hermitian part 0.25e-3 i K with K = A0 x B0 adds 1e-3 i to the
