@@ -170,12 +170,12 @@ class SymmetryOp:
         perm = tuple(self.perm[other.perm[j]] for j in range(4))
         q_self = self.source_indices()
         signs = tuple(self.signs[i] * other.signs[q_self[i]] for i in range(4))
-        return SymmetryOp(perm, signs)
+        return _group_element(perm, signs)
 
     def inverse(self) -> "SymmetryOp":
         q = self.source_indices()
         signs = tuple(self.signs[self.perm[i]] for i in range(4))
-        return SymmetryOp(q, signs)
+        return _group_element(q, signs)
 
     def matrix(self) -> np.ndarray:
         """The op as a 4x4 signed permutation matrix M with apply = M @ x."""
@@ -190,11 +190,11 @@ class SymmetryOp:
 class CanonicalForm:
     """A canonical representative of `source`, plus the op that produced it.
 
-    `canonical` is computed from the component values alone; `op` and
-    `inverse_op` are built from `source` on first read, without the checks
-    a public `SymmetryOp(...)` runs, since the sort-and-flip rule only
-    yields group elements.  `op.apply(source)` equals `canonical` exactly,
-    and `inverse_op.apply(canonical)` recovers `source` exactly, because the
+    `canonical` is computed from the component values alone; `op` is built
+    from `source` on first read, without the checks a public
+    `SymmetryOp(...)` runs, since the sort-and-flip rule only yields group
+    elements.  `op.apply(source)` equals `canonical` exactly, and
+    `op.inverse().apply(canonical)` recovers `source` exactly, because the
     group acts by permutation and sign flip only.
     """
 
@@ -215,20 +215,13 @@ class CanonicalForm:
             signs[3] = -signs[3]
         return _group_element(tuple(perm), tuple(signs))
 
-    @cached_property
-    def inverse_op(self) -> SymmetryOp:
-        """`op.inverse()`, the group element carrying `canonical` to `source`."""
-        op = self.op
-        return _group_element(
-            op.source_indices(), tuple(op.signs[p] for p in op.perm)
-        )
-
 
 def _group_element(
     perm: tuple[int, int, int, int], signs: tuple[int, int, int, int]
 ) -> SymmetryOp:
     """A SymmetryOp from int tuples that form a group element by
-    construction, built without the checks of `SymmetryOp.__post_init__`."""
+    construction, built without the checks of `SymmetryOp.__post_init__`:
+    the sort-and-flip rule, and the inverse or product of group elements."""
     op = object.__new__(SymmetryOp)
     op.__dict__.update(perm=perm, signs=signs)
     return op

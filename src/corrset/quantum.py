@@ -120,7 +120,8 @@ class Realization:
         block-diag(state[S, S], 0) up to a permutation: its smallest
         eigenvalue is that of state[S, S], or 0 when S leaves rows out.
         The trace is taken on the whole state.  A mixture state has support
-        4 of 16 or 6 of 36.
+        4 of 16 or 6 of 36.  A state with no zero on its diagonal has full
+        support, and is checked whole without looking for S.
         """
         dim_a, dim_b = self.dims
         joint = dim_a * dim_b
@@ -150,10 +151,12 @@ class Realization:
                     raise InvariantViolationError(
                         f"check '{check}' failed for {name}{detail}"
                     )
-        # NaN compares unequal to 0, so a non-finite entry joins the support
-        nonzero = self.state != 0.0
-        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        block = self.state[support[:, None], support]
+        block = np.ascontiguousarray(self.state)  # for the float view below
+        if not np.diagonal(block).all():
+            # NaN compares unequal to 0, so a non-finite entry joins the support
+            nonzero = block != 0.0
+            support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+            block = block[support[:, None], support]
         if not np.isfinite(block.view(float)).all():
             raise InvariantViolationError("check 'state-finite' failed")
         trace_residual = abs(np.trace(self.state) - 1.0)
@@ -164,7 +167,7 @@ class Realization:
         if np.abs(block - block.conj().T).max() > _HERMITIAN_TOLERANCE:
             raise InvariantViolationError("check 'state-hermitian' failed")
         smallest = float(np.linalg.eigvalsh(block)[0])
-        if support.size < joint:
+        if len(block) < joint:
             smallest = min(smallest, 0.0)
         if smallest < -_PSD_TOLERANCE:
             raise InvariantViolationError(

@@ -110,16 +110,32 @@ def test_bad_sign_rejected():
     ],
 )
 def test_canonical_ops_equal_public_construction(t):
-    # op and inverse_op skip SymmetryOp's checks; over the whole orbit they
-    # equal the validated op built from the same fields, and op.inverse()
+    # form.op and its inverse skip SymmetryOp's checks; over the whole orbit
+    # they equal the validated op built from the same fields
     for g in full_symmetry_group():
         form = canonicalize(g.apply(CorrelationVector(*t)))
-        for op in (form.op, form.inverse_op):
+        inverse = form.op.inverse()
+        for op in (form.op, inverse):
             public = SymmetryOp(op.perm, op.signs)
             assert op == public and hash(op) == hash(public)
             assert all(type(v) is int for v in op.perm + op.signs)
-        assert form.inverse_op == form.op.inverse()
-        assert form.inverse_op.apply(form.canonical) == form.source
+        assert inverse.apply(form.canonical) == form.source
+
+
+def test_inverse_and_compose_stay_in_the_group():
+    # inverse() and compose() skip SymmetryOp's checks; every result passes
+    # them, and the group laws hold
+    group = full_symmetry_group()
+    identity = SymmetryOp.identity()
+    x = CorrelationVector(0.9, -0.5, 0.3, -0.1)
+    for a in group:
+        inverse = a.inverse()
+        assert inverse == SymmetryOp(inverse.perm, inverse.signs)
+        assert a.compose(inverse) == identity == inverse.compose(a)
+        for b in group[::7]:
+            product = a.compose(b)
+            assert product == SymmetryOp(product.perm, product.signs)
+            assert product.apply(x) == a.apply(b.apply(x))
 
 
 def test_group_size():

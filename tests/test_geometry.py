@@ -468,3 +468,30 @@ def test_boundary_angle_matches_bisection_on_seeded_rays():
             rays.append(z)
     same = sum(geometry._boundary_angle(z) == _bisected_angle(z) for z in rays)
     assert same >= 0.99 * len(rays)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_boundary_angle_bounded_with_a_poor_slope(scale):
+    # a derivative 1e6 times too large makes Newton crawl, one 1e6 times
+    # too small makes it overshoot; the midpoint rule still ends the search
+    # within nine evaluations per halving of the bracket
+    arcsines = geometry._ray_arcsines
+    calls = []
+
+    def poor(*args):
+        angles, slope = arcsines(*args)
+        calls.append(1)
+        return angles, (1.0 + slope) * scale - 1.0
+
+    for z in [
+        _corner_face_point(1.2, 0.9, -6.0)[0],
+        (1.0, 0.9, 0.5, -0.2),
+        (1.0, 1.0, 0.999, 0.998),
+    ]:
+        assert _g(z, 0.5 * math.pi) > 0.0
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_ray_arcsines", poor)
+            theta = geometry._boundary_angle(z)
+        assert len(calls) <= 9 * 53
+        assert _g(z, theta) >= 0.0 > _g(z, math.nextafter(theta, 0.0))

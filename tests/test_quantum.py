@@ -225,12 +225,41 @@ def test_positivity_check_on_full_support():
         broken.validate()
 
 
+@pytest.mark.parametrize("full_diagonal", [False, True])
+@pytest.mark.parametrize(
+    "entry, value, check",
+    [
+        ((0, 0), complex(math.nan, 0.0), "state-finite"),
+        ((1, 2), complex(math.inf, 0.0), "state-finite"),
+        ((1, 2), 0.1, "state-hermitian"),
+    ],
+)
+def test_state_checks_with_and_without_a_zero_diagonal(
+    full_diagonal, entry, value, check
+):
+    # a pair state has zeros on its diagonal and is checked on its support;
+    # a mixture with the maximally mixed state has none and is checked whole
+    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
+    state = r.state.copy()
+    if full_diagonal:
+        state = 0.5 * state + 0.125 * np.eye(4)
+    assert np.diagonal(state).all() == full_diagonal
+    Realization(state, r.a0, r.a1, r.b0, r.b1).validate()
+    state[entry] = value
+    broken = Realization(state, r.a0, r.a1, r.b0, r.b1)
+    with pytest.raises(InvariantViolationError, match=rf"^check '{check}' failed"):
+        broken.validate()
+
+
 def test_validate_accepts_non_contiguous_arrays():
     # the transpose of a density matrix or of an observable is one too; a
     # transposed view is not C-contiguous, and a failed check still names
     # its observable
     r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
     Realization(r.state.T, r.a0, r.a1.T, r.b0, r.b1).validate()
+    # with no zero on its diagonal the state is checked whole
+    mixed = 0.5 * r.state + 0.125 * np.eye(4)
+    Realization(mixed.T, r.a0, r.a1, r.b0, r.b1).validate()
     broken = Realization(r.state.T, r.a0, 1.5 * r.a1.T, r.b0, r.b1)
     with pytest.raises(
         InvariantViolationError, match=r"^check 'observable-involution' failed for A1"
