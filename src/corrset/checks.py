@@ -276,7 +276,7 @@ def _scan_chunk(args: tuple) -> tuple[float, tuple[float, ...] | None, int]:
         values = slab(i)
         if values is None:
             continue
-        violations += int((values < bound).sum())
+        violations += int(np.count_nonzero(values < bound))
         flat = int(np.argmin(values))
         value = float(values.flat[flat])
         if value < best:

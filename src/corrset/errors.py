@@ -46,7 +46,7 @@ class DimensionError(CorrSetError, ValueError):
 
 
 class DomainError(CorrSetError, ValueError):
-    """A scan or grid parameter is outside its admissible range."""
+    """A scan, grid or sampling parameter is outside its admissible range."""
 
 
 class InternalCheckError(CorrSetError, RuntimeError):

@@ -29,24 +29,40 @@ numpy's PCG64 generator with explicit per-index stream splitting: sample
 consuming, in order, the joint state vector (all real parts, then all
 imaginary parts) followed by, for each of A0, A1, B0, B1: a complex square
 matrix (reals, then imaginaries) fed to QR for a Haar unitary, then one
-integer draw per dimension for the +-1 eigenvalue pattern.  After the
-draws, the algebra runs once over a block of at most `_SAMPLE_BLOCK`
-indices, each step acting on every index alone through the same
-per-matrix BLAS and LAPACK calls, so a row depends neither on its block,
-chunk or worker count nor on sampling order; `sample_quantum` is the
-block of one.
+integer draw per dimension for the +-1 eigenvalue pattern,
+`integers(0, 2, size=d)`.
+
+The draws reproduce those calls bit for bit without building a generator
+per index.  SeedSequence's hash (mix_entropy, then generate_state(4,
+uint64)) runs on the 32-bit entropy words of every index of a block at
+once, and PCG64's seeding (pcg_setseq_128_srandom_r) turns each result
+into an internal (state, inc), loaded into one PCG64 through `.state`.
+The state and A0's matrix are one `standard_normal` call, since they are
+consecutive in the stream.  Each pattern comes from `random_raw` words.
+This relies on numpy behaviours that the tests check against numpy's own
+calls: an int seeds as its 32-bit words, low word first, 0 as one word;
+`standard_normal` fills its output in order from whole 64-bit words; and
+`integers(0, 2)` on int64 is Lemire's method on 32-bit halves with
+threshold 0, so each bit is the top bit of a half, low half first.  An odd
+d leaves the high half of a word unused; the next pattern begins with it,
+as PCG64 keeps it across the normal draws between.  After the draws, the
+algebra runs once over a block of at most `_SAMPLE_BLOCK` indices, each
+step acting on every index alone through the same per-matrix BLAS and
+LAPACK calls, so a row depends neither on its block, chunk or worker count
+nor on sampling order; `sample_quantum` is the block of one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import _chunk_ranges, _run_chunks
 from .corrvec import CorrelationVector
-from .errors import DimensionError, InvariantViolationError
+from .errors import DimensionError, DomainError, InvariantViolationError
 from .geometry import Decomposition, GeneratorPoint, reduce_angle
 
 _TRACE_TOLERANCE = 1e-12
@@ -331,24 +347,124 @@ def _haar_observables(raw: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return 0.5 * (observable + observable.conj().swapaxes(1, 2))
 
 
+# numpy's SeedSequence hash, after O'Neill's seed_seq_fe: hashing step k
+# xors a word with INIT * MULT**k and multiplies it by INIT * MULT**(k + 1),
+# and a pool word x takes in a hashed y as MIX_L x - MIX_R y; each result
+# is then xored with itself shifted right by 16
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A of mix_entropy
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(init: int, mult: int, first: int, count: int):
+    """The xor and multiply constants of hashing steps first..first+count-1,
+    each a (count, 1) uint32 array."""
+    c = [init * pow(mult, k, 2**32) % 2**32 for k in range(first, first + count + 1)]
+    c = np.array(c, np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(values: np.ndarray, steps: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    values = (values ^ steps[0]) * steps[1]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = _MIX_L * x - _MIX_R * y
+    return values ^ (values >> 16)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a nonnegative int, low word first."""
+    return [value >> s & 0xFFFFFFFF for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+_POOL_STEPS = _hash_steps(*_HASH_A, 0, 4)
+# steps 4 + 3 src, +1, +2 hash pool[src] into the other pool words in
+# order; row src, which keeps its word, gets placeholder constants
+_CROSS_STEPS = [
+    tuple(np.insert(c, src, 0, axis=0) for c in _hash_steps(*_HASH_A, 4 + 3 * src, 3))
+    for src in range(4)
+]
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 0, 8)  # INIT_B, MULT_B
+
+
+def _stream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The (state, inc) of PCG64(SeedSequence((seed mod 2**64, i))) for i in
+    start..stop-1: SeedSequence's mix_entropy and generate_state(4, uint64)
+    on every index at once, then pcg_setseq_128_srandom_r on each."""
+    seed_words = _uint32_words(seed % 2**64)
+    states = []
+    low = start
+    while low < stop:  # only word 0 of an index varies within 2**32-aligned runs
+        high = min(stop, (low | 0xFFFFFFFF) + 1)
+        words = seed_words + _uint32_words(low)
+        entropy = np.zeros((max(len(words), 4), high - low), np.uint32)
+        entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+        entropy[len(seed_words)] += np.arange(high - low, dtype=np.uint32)
+        pool = _hashmix(entropy[:4], _POOL_STEPS)
+        for src, steps in enumerate(_CROSS_STEPS):
+            mixed = _mix(pool, _hashmix(pool[src], steps))
+            mixed[src] = pool[src]
+            pool = mixed
+        for src in range(4, len(words)):  # entropy words past the pool's four
+            pool = _mix(pool, _hashmix(entropy[src], _hash_steps(*_HASH_A, 4 * src, 4)))
+        halves = _hashmix(np.concatenate((pool, pool)), _STATE_STEPS).astype(np.uint64)
+        for s0, s1, i0, i1 in (halves[::2] | halves[1::2] << 32).T.tolist():
+            inc = (i0 << 65 | i1 << 1 | 1) % 2**128
+            state = ((s0 << 64 | s1) + inc) * _PCG_MULTIPLIER + inc
+            states.append((state % 2**128, inc))
+        low = high
+    return states
+
+
+def _sample_draws(
+    dim_a: int, dim_b: int, seed: int, start: int, stop: int
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The documented draws of indices start..stop-1: state normals (n, 2,
+    dim_a * dim_b), then per observable its matrix normals (n, 2, d, d) and
+    its 0/1 pattern (n, d)."""
+    n, joint = stop - start, dim_a * dim_b
+    dims = (dim_a, dim_a, dim_b, dim_b)
+    sizes = [2 * joint] + [2 * d * d for d in dims]
+    # the state and A0's matrix are one draw; each pattern then takes the
+    # raw words holding its bits, counted in 32-bit halves across patterns
+    words_used = (np.cumsum(dims) + 1) // 2
+    draws = list(
+        zip([sizes[0] + sizes[1]] + sizes[2:], np.diff(words_used, prepend=0).tolist())
+    )
+    bit_generator = np.random.PCG64(0)  # reseeded for every index below
+    rng = np.random.Generator(bit_generator)
+    normals, words = [], []
+    for state, inc in _stream_states(seed, start, stop):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for size, count in draws:
+            normals.append(rng.standard_normal(size))
+            words.append(bit_generator.random_raw(count))
+    state, *raws = np.split(
+        np.concatenate(normals).reshape(n, -1), np.cumsum(sizes[:-1]), axis=1
+    )
+    # integers(0, 2) is the top bit of a 32-bit half, low half first
+    halves = np.concatenate(words).astype("<u8").view("<u4").reshape(n, -1)
+    return (
+        state.reshape(n, 2, joint),
+        [raw.reshape(n, 2, d, d) for raw, d in zip(raws, dims)],
+        np.split(halves >> 31, np.cumsum(dims[:-1]), axis=1),
+    )
+
+
 def _sample_block(
     dim_a: int, dim_b: int, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """States (n, dim_a * dim_b), observables (A0, A1, B0, B1), each
     (n, d, d), and correlation rows (n, 4) of indices start..stop-1."""
     n, joint = stop - start, dim_a * dim_b
-    dims = (dim_a, dim_a, dim_b, dim_b)
-    state = np.empty((n, 2, joint))
-    raws = [np.empty((n, 2, d, d)) for d in dims]
-    bits = [np.empty((n, d)) for d in dims]
-    for k in range(n):  # each index draws from its own stream, in order
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed % 2**64, start + k)))
-        )
-        rng.standard_normal(out=state[k].reshape(-1))
-        for raw, pattern_bits, d in zip(raws, bits, dims):
-            rng.standard_normal(out=raw[k].reshape(-1))
-            pattern_bits[k] = rng.integers(0, 2, size=d)
+    state, raws, bits = _sample_draws(dim_a, dim_b, seed, start, stop)
     # each step below acts on every index alone, so rows do not depend on n
     psi = state[:, 0] + 1j * state[:, 1]
     re, im = psi.real[:, None], psi.imag[:, None]
@@ -371,9 +487,13 @@ def sample_quantum(
     The state is a Haar-like random pure state (normalized complex
     Gaussian); observables conjugate random +-1 eigenvalue patterns by
     Haar unitaries.  Deterministic in (seed, index); see the module
-    docstring for the exact stream layout.
+    docstring for the exact stream layout.  A negative index raises
+    DomainError.
     """
     _check_dims(dim_a, dim_b)
+    index = operator.index(index)
+    if index < 0:
+        raise DomainError(f"sample index must be nonnegative, got {index}")
     psi, observables, values = _sample_block(dim_a, dim_b, seed, index, index + 1)
     state = np.outer(psi[0], psi[0].conj())
     realization = Realization(state, *(obs[0] for obs in observables))

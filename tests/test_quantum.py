@@ -1,5 +1,6 @@
 """Quantum realization tests: synthesis, expectation oracle and sampling."""
 
+import itertools
 import math
 import re
 import runpy
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from corrset.corrvec import CorrelationVector
-from corrset.errors import DimensionError, InvariantViolationError
+from corrset.errors import DimensionError, DomainError, InvariantViolationError
 from corrset.geometry import Decomposition, GeneratorPoint, decompose
 from corrset.membership import chsh_combinations, quantum_margins
 from corrset.quantum import (
     _SAMPLE_BLOCK,
+    _sample_draws,
     PhaseParams,
     Realization,
     expectation,
@@ -383,30 +385,58 @@ def test_sample_rows_do_not_depend_on_block(dims, workers):
         assert tuple(rows[index]) == x.as_tuple()
 
 
-def _documented_draw(dim_a, dim_b, seed, index):
-    """State and observables drawn call by call in the order the quantum
-    module docstring states."""
+def _documented_draws(dim_a, dim_b, seed, index):
+    """State normals, then per observable its matrix normals and 0/1
+    pattern, drawn call by call in the order the quantum module docstring
+    states."""
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed % 2**64, index)))
     )
     joint = dim_a * dim_b
-    psi = rng.standard_normal(joint) + 1j * rng.standard_normal(joint)
-    psi = psi / np.linalg.norm(psi)
-    observables = []
+    state = np.array([rng.standard_normal(joint), rng.standard_normal(joint)])
+    matrices, patterns = [], []
     for dim in (dim_a, dim_a, dim_b, dim_b):
         real = rng.standard_normal((dim, dim))
         imag = rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(real + 1j * imag)
-        unitary = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-        signs = 1 - 2 * rng.integers(0, 2, size=dim)
-        observables.append(unitary @ np.diag(signs) @ unitary.conj().T)
-    return np.outer(psi, psi.conj()), observables
+        matrices.append(np.array([real, imag]))
+        patterns.append(rng.integers(0, 2, size=dim))
+    return state, matrices, patterns
+
+
+def _assert_draws_match(dims, seed, start, stop):
+    state, raws, bits = _sample_draws(*dims, seed, start, stop)
+    for k, index in enumerate(range(start, stop)):
+        want_state, matrices, patterns = _documented_draws(*dims, seed, index)
+        assert state[k].tobytes() == want_state.tobytes()
+        for raw, pattern_bits, matrix, pattern in zip(raws, bits, matrices, patterns):
+            assert np.ascontiguousarray(raw[k]).tobytes() == matrix.tobytes()
+            assert pattern_bits[k].tolist() == pattern.tolist()
+
+
+@pytest.mark.parametrize("dims", list(itertools.product(range(2, 9), repeat=2)))
+def test_sample_draws_are_numpys_calls_bit_for_bit(dims):
+    # the block from 2**32 - 1 crosses to two-word indices; 2**64 + 1 has
+    # three words, so with a two-word seed the entropy outgrows the pool
+    blocks = ((0, 1), (33, 34), (2**32 - 1, 2**32 + 1), (2**64 + 1, 2**64 + 2))
+    for seed in (0, -3, 2**32 - 1, 2**32, 2**64 + 4):
+        for start, stop in blocks:
+            _assert_draws_match(dims, seed, start, stop)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (5, 3), (8, 8)])
 def test_sample_stream_layout(dims):
     for seed, index in ((4, 0), (4, 33), (-3, 5), (2**64 + 4, 33)):
-        state, observables = _documented_draw(*dims, seed, index)
+        _assert_draws_match(dims, seed, index, index + 1)
+        # the realization goes through BLAS and LAPACK, in other calls here
+        (psi_re, psi_im), matrices, patterns = _documented_draws(*dims, seed, index)
+        psi = psi_re + 1j * psi_im
+        psi = psi / np.linalg.norm(psi)
+        observables = []
+        for (real, imag), pattern in zip(matrices, patterns):
+            q, r = np.linalg.qr(real + 1j * imag)
+            unitary = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+            observables.append(unitary @ np.diag(1 - 2 * pattern) @ unitary.conj().T)
+        state = np.outer(psi, psi.conj())
         x, r = sample_quantum(*dims, seed=seed, index=index)
         assert np.abs(r.state - state).max() <= 1e-12
         for got, want in zip((r.a0, r.a1, r.b0, r.b1), observables):
@@ -418,6 +448,11 @@ def test_sample_stream_layout(dims):
             for b in observables[2:]
         ]
         assert np.abs(np.array(x.as_tuple()) - want_x).max() <= 1e-12
+
+
+def test_sample_quantum_rejects_a_negative_index():
+    with pytest.raises(DomainError, match="got -1"):
+        sample_quantum(dim_a=2, dim_b=3, seed=0, index=-1)
 
 
 def test_sample_correlations_empty():
