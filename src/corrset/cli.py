@@ -13,10 +13,12 @@ mu           apply the rescaled arcsine map (or its inverse) to a vector
 
 Exit codes: 0 on success (for `membership`: vector in the quantum set),
 1 when the vector is outside the quantum set or a verification check
-failed, 2 on input errors.  `CORRSET_TOLERANCE` overrides the default
-tolerance; `--tolerance` overrides both.  All commands are deterministic
-given identical flags and seed, JSON key order is fixed, and output is
-written in one piece (no partial files on error paths).
+failed, 2 on input errors, 3 when a self-check of the library failed (an
+`internal error:` line on stderr carries the numbers that show it).
+`CORRSET_TOLERANCE` overrides the default tolerance; `--tolerance`
+overrides both.  All commands are deterministic given identical flags
+and seed, JSON key order is fixed, and output is written in one piece
+(no partial files on error paths).
 """
 
 from __future__ import annotations
@@ -602,8 +604,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotInQuantumSetError as exc:
         print(f"outside Q: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError:
-        raise
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # downstream consumer closed the pipe (e.g. `| head`); exit quietly
         try:

@@ -72,11 +72,14 @@ class CorrelationVector:
 
         Components may overshoot the box by at most `tolerance`; anything
         further out raises OutOfBoxError naming the offending component.
+        Each value is converted, checked and clamped once, with -0.0 turned
+        into +0.0, so the vector is built without `__post_init__` running
+        the same work again; it equals `cls(*clamped)` bit for bit.
         """
         values = list(raw)
         if len(values) != 4:
             raise OutOfBoxError(f"expected 4 components, got {len(values)}")
-        cleaned = []
+        cleaned = {}
         for name, v in zip(_COMPONENT_NAMES, values):
             v = float(v)
             if not math.isfinite(v):
@@ -86,8 +89,8 @@ class CorrelationVector:
                     f"component {name} = {v!r} lies outside [-1, 1] "
                     f"beyond tolerance {tolerance:g}"
                 )
-            cleaned.append(min(1.0, max(-1.0, v)))
-        return cls(*cleaned)
+            cleaned[name] = min(1.0, max(-1.0, v)) + 0.0
+        return _unchecked(cls, cleaned)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
@@ -216,15 +219,22 @@ class CanonicalForm:
         return _group_element(tuple(perm), tuple(signs))
 
 
+def _unchecked(cls, fields):
+    """An instance of the frozen dataclass `cls` with `fields` (a mapping or
+    pairs of field name and value) set directly, without `__post_init__`.
+    Only for values that already meet what that method would enforce."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _group_element(
     perm: tuple[int, int, int, int], signs: tuple[int, int, int, int]
 ) -> SymmetryOp:
     """A SymmetryOp from int tuples that form a group element by
     construction, built without the checks of `SymmetryOp.__post_init__`:
     the sort-and-flip rule, and the inverse or product of group elements."""
-    op = object.__new__(SymmetryOp)
-    op.__dict__.update(perm=perm, signs=signs)
-    return op
+    return _unchecked(SymmetryOp, {"perm": perm, "signs": signs})
 
 
 def is_s_ordered(x: CorrelationVector, slack: float = 0.0) -> bool:
@@ -257,9 +267,8 @@ def canonicalize(x: CorrelationVector) -> CanonicalForm:
         values[3] = -values[3]
     # the magnitudes of a CorrelationVector's components are finite and never
     # -0.0, which is all its constructor enforces, so they skip it
-    canonical = object.__new__(CorrelationVector)
-    canonical.__dict__.update(zip(_COMPONENT_NAMES, values))
-    return CanonicalForm(canonical, x)
+    canonical = _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, values))
+    return _unchecked(CanonicalForm, {"canonical": canonical, "source": x})
 
 
 @lru_cache(maxsize=1)

@@ -11,8 +11,10 @@ measuring a shared quantum state; it is characterized by the same eight
 combinations applied to the component arcsines, each bounded by pi.
 
 Both systems are redundant: after canonicalization only one inequality can
-bind.  `evaluate` computes all eight values anyway (callers want the full
-report) and cross-checks the maximum against the canonical fast path.
+bind.  `evaluate` still reports all eight values (callers want the full
+report), from four sums per system: rows 4-7 of the patterns are rows 0-3
+negated, taken as `0.0 - v` so that an exact zero stays +0.0 as the direct
+sum gives it.  It cross-checks the maximum against the canonical fast path.
 
 `mu` is the component-wise rescaled arcsine map y_i = (2/pi) * asin(x_i).
 It sends the quantum set exactly onto the classical one, which makes
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrvec import DEFAULT_TOLERANCE, CorrelationVector, canonicalize
+from .corrvec import DEFAULT_TOLERANCE, CorrelationVector, _unchecked, canonicalize
 from .errors import InternalCheckError
 
 CLASSICAL_BOUND = 2.0
@@ -127,25 +129,34 @@ class MembershipReport:
         }
 
 
+def _pattern_sums(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """The eight combinations of `_PATTERNS`, bitwise the direct sums.
+
+    Rows 4-7 negate rows 0-3 and IEEE rounding is symmetric, so `-v` agrees
+    with the direct sum except at an exact zero: that sums to +0.0, which
+    `0.0 - v` keeps and `-v` would turn into -0.0.
+    """
+    s0 = b - a + c + d
+    s1 = a - b + c + d
+    s2 = a + b - c + d
+    s3 = a + b + c - d
+    return (s0, s1, s2, s3, 0.0 - s0, 0.0 - s1, 0.0 - s2, 0.0 - s3)
+
+
 def evaluate(
     x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE
 ) -> MembershipReport:
     """Evaluate both membership systems and return the full report.
 
-    The maxima of the eight-value systems are cross-checked against the
-    single binding inequality of the canonical form; disagreement beyond
-    1e-9 would indicate a library bug and raises InternalCheckError.
+    Each system is four pattern sums, rows 0-3, with rows 4-7 taken as
+    `0.0 - v` so that an exact zero stays +0.0 (`_pattern_sums`).  The
+    maxima of the eight-value systems are cross-checked against the single
+    binding inequality of the canonical form; disagreement beyond 1e-9
+    would indicate a library bug and raises InternalCheckError.
     """
-    comps = x.as_tuple()
-    asins = tuple(math.asin(v) for v in comps)
-    chsh = tuple(
-        p[0] * comps[0] + p[1] * comps[1] + p[2] * comps[2] + p[3] * comps[3]
-        for p in _PATTERNS
-    )
-    fvals = tuple(
-        p[0] * asins[0] + p[1] * asins[1] + p[2] * asins[2] + p[3] * asins[3]
-        for p in _PATTERNS
-    )
+    a, b, c, d = x.as_tuple()
+    chsh = _pattern_sums(a, b, c, d)
+    fvals = _pattern_sums(math.asin(a), math.asin(b), math.asin(c), math.asin(d))
     max_chsh = max(chsh)
     max_f = max(fvals)
 
@@ -165,13 +176,17 @@ def evaluate(
 
     classical_margin = CLASSICAL_BOUND - max_chsh
     quantum_margin = QUANTUM_BOUND - max_f
-    return MembershipReport(
-        in_classical=classical_margin >= -tolerance,
-        in_quantum=quantum_margin >= -tolerance,
-        chsh_values=chsh,
-        arcsine_values=fvals,
-        classical_margin=classical_margin,
-        quantum_margin=quantum_margin,
+    # every field is computed above, and the report has no checks to skip
+    return _unchecked(
+        MembershipReport,
+        {
+            "in_classical": classical_margin >= -tolerance,
+            "in_quantum": quantum_margin >= -tolerance,
+            "chsh_values": chsh,
+            "arcsine_values": fvals,
+            "classical_margin": classical_margin,
+            "quantum_margin": quantum_margin,
+        },
     )
 
 
@@ -187,11 +202,7 @@ def in_quantum(x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE) -> bo
 
 def chsh_max(x: CorrelationVector) -> float:
     """Largest of the eight CHSH combination values."""
-    comps = x.as_tuple()
-    return max(
-        p[0] * comps[0] + p[1] * comps[1] + p[2] * comps[2] + p[3] * comps[3]
-        for p in _PATTERNS
-    )
+    return max(_pattern_sums(*x.as_tuple()))
 
 
 def mu(x: CorrelationVector) -> CorrelationVector:

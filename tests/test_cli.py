@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from corrset import cli
+from corrset import cli, membership
 from corrset.cli import main
+from corrset.corrvec import CanonicalForm, CorrelationVector
 
 T = "0.7071067811865476"
 
@@ -109,6 +110,26 @@ def test_decompose_outside_q(capsys):
     assert code == 1
     assert out == ""
     assert "margin_Q" in err
+
+
+def test_decompose_internal_error_is_a_stderr_line(capsys):
+    # admitted at 1e-6, but its reconstruction misses by 3.0e-7
+    x = ("0.7071067811865475",) * 3 + ("-0.7071070811865474",)
+    code, out, err = run(capsys, "decompose", "--tolerance", "1e-6", *x)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: decomposition residual 3.000e-07")
+    assert "-0.7071070811865474" in err
+
+
+def test_failing_cross_check_exits_3(capsys, monkeypatch):
+    wrong = CorrelationVector(0.9, 0.5, 0.3, 0.2)
+    monkeypatch.setattr(membership, "canonicalize", lambda v: CanonicalForm(wrong, v))
+    code, out, err = run(capsys, "membership", "0.9", "0.5", "0.3", "-0.2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: canonical fast path disagrees")
+    assert repr(0.9 + 0.5 + 0.3 - 0.2) in err
 
 
 def test_realize_verify_round_trip(capsys, tmp_path):

@@ -55,6 +55,54 @@ def test_validate_rejects_out_of_box():
         CorrelationVector.validate((0.0, 0.0, 1.5, 0.0))
 
 
+TOL = 1e-9
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        (-0.0, 0.0, -0.0, 0.25),
+        (1.0 + TOL / 2, -1.0 - TOL / 2, -0.0, 1.0),
+        (np.float64(-0.0), np.float32(0.1), np.int64(-1), np.float64(0.75)),
+        ("0.5", "-0.0", "1", "-1.0000000005"),
+        [True, 0, -1, 0.5],
+    ],
+)
+def test_validate_builds_the_clamped_vector(raw):
+    x = CorrelationVector.validate(raw, tolerance=TOL)
+    clamped = [min(1.0, max(-1.0, float(v))) for v in raw]
+    y = CorrelationVector(*clamped)
+    assert _signed(x) == _signed(y)
+    assert all(type(v) is float for v in x.as_tuple())
+    assert x == y
+    assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize(
+    "raw, error, message",
+    [
+        ((math.nan, 0, 0, 0), NonFiniteInputError, "component x1 is not finite: nan"),
+        ((0, math.inf, 0, 0), NonFiniteInputError, "component x2 is not finite: inf"),
+        (
+            (0, 0, 1.5, math.nan),
+            OutOfBoxError,
+            "component x3 = 1.5 lies outside [-1, 1] beyond tolerance 1e-09",
+        ),
+        (
+            (0, 0, 0, -1 - 2 * TOL),
+            OutOfBoxError,
+            "component x4 = -1.000000002 lies outside [-1, 1] beyond tolerance 1e-09",
+        ),
+        ((0, 0, 0), OutOfBoxError, "expected 4 components, got 3"),
+        ((0, 0, 0, 0, 0), OutOfBoxError, "expected 4 components, got 5"),
+    ],
+)
+def test_validate_errors(raw, error, message):
+    with pytest.raises(error) as info:
+        CorrelationVector.validate(raw, tolerance=TOL)
+    assert str(info.value) == message
+
+
 def test_json_round_trip():
     x = CorrelationVector(0.25, -0.5, 1.0, -0.125)
     back = CorrelationVector.from_json(x.to_json())

@@ -1,6 +1,7 @@
 """Membership tests: CHSH facets, arcsine bound, margins and the mu map."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -34,6 +35,24 @@ T = 1.0 / math.sqrt(2.0)
 
 components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 vectors = st.tuples(components, components, components, components)
+
+# mostly signed zeros and values whose sums cancel exactly, some uniform
+special = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0))
+zero_prone = st.one_of(special, special, special, components)
+zero_prone_vectors = st.tuples(zero_prone, zero_prone, zero_prone, zero_prone)
+
+
+def _bits(values) -> list[bytes]:
+    """Each float's IEEE bytes, so that +0.0 and -0.0 differ."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _direct_sums(comps) -> list[float]:
+    """The eight combinations as each pattern row reads, term by term."""
+    return [
+        p[0] * comps[0] + p[1] * comps[1] + p[2] * comps[2] + p[3] * comps[3]
+        for p in SIGN_PATTERNS.tolist()
+    ]
 
 
 def test_bound_constants():
@@ -214,3 +233,33 @@ def test_cross_check_fires_on_wrong_canonical_value(monkeypatch):
     message = str(info.value)
     assert repr(0.9 + 0.5 + 0.3 - 0.2) in message
     assert repr(max_chsh) in message
+
+
+@given(zero_prone_vectors)
+def test_four_sum_systems_bitwise_the_eight_pattern_sums(t):
+    # rows 4-7 come from negating rows 0-3; an exact zero must stay +0.0
+    x = CorrelationVector(*t)
+    comps = x.as_tuple()
+    report = evaluate(x)
+    chsh = _direct_sums(comps)
+    assert _bits(report.chsh_values) == _bits(chsh)
+    assert _bits(report.arcsine_values) == _bits(
+        _direct_sums([math.asin(v) for v in comps])
+    )
+    assert _bits([chsh_max(x)]) == _bits([max(chsh)])
+
+
+def test_evaluate_canonicalizes_once(monkeypatch):
+    # the traced benchmark counts calls of `membership.canonicalize` per op
+    original = membership.canonicalize
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(membership, "canonicalize", counting)
+    xs = [CorrelationVector(0.9, 0.5, 0.3, -0.2), CorrelationVector(1, 1, 1, -1)]
+    for x in xs:
+        evaluate(x)
+    assert calls == xs
