@@ -30,9 +30,9 @@ point of this module is redundancy.  It provides:
   of the canonical parity argument.
 
 Both scans run through one driver, `_min_scan`: it splits the rows i of
-the grid among workers, and each row yields a slab of values over (j, k)
-from which it takes the violation count below a bound and the first
-minimum.  Only the slab function differs between the scans.  The angle
+the grid among workers, and each row yields a slab of values over (j, k),
+j >= i, from which it takes the violation count below a bound and the
+first minimum.  Only the slab function differs between the scans.  The angle
 scan looks for a maximum, so it runs on the negated sum, with tables
 -asin(sin nu) added in the same order as the sum: IEEE negation is exact
 and rounding is symmetric, so every scanned value is exactly minus the
@@ -48,10 +48,15 @@ about 2,000 distinct pair sums among 10^5 pairs.  Each scan evaluates the
 transcendental once on the (pair sums, n) array of totals and gathers a
 slab's rows by pair.  Every total is formed by the same two roundings and
 goes through the same elementwise ufunc as in a direct evaluation, so every
-scanned value is bitwise the direct one.  A table over i + j + k, or a scan
-of j <= k alone, would not be: in floating point the total is neither a
-function of i + j + k nor symmetric in j and k.  The table is built on the
-first slab, as `_min_scan` asks for slabs only to read the axis.
+scanned value is bitwise the direct one.  The table is built on the first
+slab, as `_min_scan` asks for slabs only to read the axis.
+
+IEEE addition is commutative, so the total and per-axis sums such as
+sin_term[i] + sin_term[j] make every value the same float at (i, j, k) and
+at its mirror (j, i, k).  A slab holds rows j >= i alone, the count is
+2 x (hits with j > i) + (hits with j == i), and the first minimizer has
+i <= j, as its mirror would come first otherwise.  The total is neither a
+function of i + j + k nor symmetric in j and k.
 """
 
 from __future__ import annotations
@@ -153,8 +158,8 @@ def lvt_oracle_batch(
     coords = xs @ _VERTEX_BASIS.T / 4.0
     vertex_value = np.abs(coords).sum(axis=-1)
 
-    box_value = np.abs(xs).max(axis=-1)
-    chsh_value = membership.chsh_combinations(xs).max(axis=-1)
+    box_value = membership._row_max(np.abs(xs))
+    chsh_value = membership._row_max(membership.chsh_combinations(xs))
     facet_value = np.maximum(box_value, 0.5 * chsh_value)
 
     disagreement = float(np.max(np.abs(vertex_value - facet_value)))
@@ -264,8 +269,10 @@ def _pair_sum_table(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scan_chunk(args: tuple) -> tuple[float, tuple[float, ...] | None, int]:
     """Rows start..stop-1 of a minimum scan: the first smallest value with
     its grid point, and the count of values below `bound`.
-    `make_slabs(*params)` gives the axis and `slab(i)`, the (n, n) values at
-    (axis[i], axis[j], axis[k]), or None when row i has no grid point."""
+    `make_slabs(*params)` gives the axis and `slab(i)`: (first, values), the
+    values at (axis[i], axis[j], axis[k]) for rows j = first, first + 1, ...
+    with first >= i, or None when row i has no grid point with j >= i.  A
+    value is the same at (j, i, k), so a row j > i counts twice."""
     start, stop, make_slabs, params, bound = args
     axis, slab = make_slabs(*params)
     count = axis.size
@@ -273,17 +280,20 @@ def _scan_chunk(args: tuple) -> tuple[float, tuple[float, ...] | None, int]:
     best_arg: tuple[float, ...] | None = None
     violations = 0
     for i in range(start, stop):
-        values = slab(i)
-        if values is None:
+        rows = slab(i)
+        if rows is None:
             continue
-        violations += int(np.count_nonzero(values < bound))
+        first, values = rows
         flat = int(np.argmin(values))
         value = float(values.flat[flat])
+        if value < bound:
+            hits = np.count_nonzero(values < bound, axis=1)
+            violations += 2 * int(hits.sum()) - int(hits[0]) * (first == i)
         if value < best:
             best = value
             best_arg = (
                 float(axis[i]),
-                float(axis[flat // count]),
+                float(axis[first + flat // count]),
                 float(axis[flat % count]),
             )
     return best, best_arg, violations
@@ -325,20 +335,18 @@ def _curvature_slabs(step: float, margin: float):
         tan_totals[~in_range] = -np.inf
         return tan_totals, in_range.any(axis=1), where
 
-    def slab(i: int) -> np.ndarray | None:
+    def slab(i: int) -> tuple[int, np.ndarray] | None:
         tan_totals, head_in_range, where = table()
-        rows = np.flatnonzero(head_in_range[where[i]])
+        rows = i + np.flatnonzero(head_in_range[where[i, i:]])
         if rows.size == 0:
             return None
         # rows j outside the first..last with a point in range are all +inf
         j = slice(rows[0], rows[-1] + 1)
-        values = np.full((axis.size, axis.size), np.inf)
-        values[j] = (
+        return int(rows[0]), (
             sin_term[i] + sin_term[j, None] + sin_term[None, :]
         ) - tan_totals[where[i, j]] * (
             weight_term[i] + weight_term[j, None] + weight_term[None, :]
         ) ** 2
-        return values
 
     return axis, slab
 
@@ -371,9 +379,11 @@ def _negated_angle_sum_slabs(step: float):
         totals = heads[:, None] + axis[None, :]
         return np.arcsin(np.sin(totals, out=totals), out=totals), where
 
-    def slab(i: int) -> np.ndarray:
+    def slab(i: int) -> tuple[int, np.ndarray]:
         folded, where = table()
-        return (negated[i] + negated[:, None] + negated[None, :]) - folded[where[i]]
+        return i, (negated[i] + negated[i:, None] + negated[None, :]) - folded[
+            where[i, i:]
+        ]
 
     return axis, slab
 

@@ -317,8 +317,8 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
     if args.samples < 1:
         raise DomainError(f"sample count must be at least 1, got {args.samples}")
-    hessian_step = args.step if args.step else args.hessian_step
-    angle_step = args.step if args.step else args.anglesum_step
+    hessian_step = args.hessian_step if args.step is None else args.step
+    angle_step = args.anglesum_step if args.step is None else args.step
     # refuse either grid before the other scan runs
     checks._check_scan_params(hessian_step, args.hessian_margin)
     checks._check_scan_params(angle_step, None)

@@ -28,6 +28,7 @@ million-point sweeps cheap.  Scalar functions take CorrelationVector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,14 +77,20 @@ def arcsine_combinations(xs: np.ndarray) -> np.ndarray:
     return np.arcsin(xs) @ SIGN_PATTERNS.T
 
 
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """`values.max(axis=-1)`, taken column by column: the same floats, but
+    numpy reduces a short last axis several times slower."""
+    return functools.reduce(np.maximum, np.moveaxis(values, -1, 0))
+
+
 def classical_margins(xs: np.ndarray) -> np.ndarray:
     """2 minus the largest CHSH combination; nonnegative inside the set."""
-    return CLASSICAL_BOUND - chsh_combinations(xs).max(axis=-1)
+    return CLASSICAL_BOUND - _row_max(chsh_combinations(xs))
 
 
 def quantum_margins(xs: np.ndarray) -> np.ndarray:
     """pi minus the largest arcsine combination."""
-    return QUANTUM_BOUND - arcsine_combinations(xs).max(axis=-1)
+    return QUANTUM_BOUND - _row_max(arcsine_combinations(xs))
 
 
 def mu_array(xs: np.ndarray) -> np.ndarray:

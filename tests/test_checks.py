@@ -210,19 +210,85 @@ def _direct_angle_slab(axis, i):
     )
 
 
-@pytest.mark.parametrize("step, margin", [(0.1, 0.05), (0.07, 0.2), (0.043, 0.5)])
+SLAB_GRIDS = [(0.1, 0.05), (0.07, 0.2), (0.043, 0.5)]
+
+
+def _direct_cube(axis, direct_slab):
+    # the whole grid, point by point; a row without grid points is all +inf
+    rows = [direct_slab(axis, i) for i in range(axis.size)]
+    full = np.full((axis.size, axis.size), np.inf)
+    return np.stack([full if row is None else row for row in rows])
+
+
+@pytest.mark.parametrize("step, margin", SLAB_GRIDS)
 def test_slabs_match_direct_evaluation(step, margin):
+    # a slab holds rows j >= i; the rows it leaves out have no grid point
+    def check(axis, slab, direct_slab):
+        cube = _direct_cube(axis, direct_slab)
+        for i in range(axis.size):
+            rows = slab(i)
+            if rows is None:
+                assert (cube[i, i:] == np.inf).all()
+                continue
+            first, values = rows
+            last = first + values.shape[0]
+            assert i <= first < last <= axis.size
+            assert values.shape[1] == axis.size
+            assert (_bits(values) == _bits(cube[i, first:last])).all()
+            assert (cube[i, i:first] == np.inf).all()
+            assert (cube[i, last:] == np.inf).all()
+
     axis, slab = _curvature_slabs(step, margin)
-    for i in range(axis.size):
-        direct = _direct_curvature_slab(axis, i, margin)
-        values = slab(i)
-        if direct is None:
-            assert values is None
-        else:
-            assert (_bits(values) == _bits(direct)).all()
+    check(axis, slab, lambda axis, i: _direct_curvature_slab(axis, i, margin))
     axis, slab = _negated_angle_sum_slabs(step)
-    for i in range(axis.size):
-        assert (_bits(slab(i)) == _bits(_direct_angle_slab(axis, i))).all()
+    check(axis, slab, _direct_angle_slab)
+
+
+@pytest.mark.parametrize("step, margin", SLAB_GRIDS)
+def test_direct_slabs_are_mirror_images(step, margin):
+    # the scans evaluate rows j >= i only because (i, j, k) and (j, i, k)
+    # give the same float
+    axis = _grid_axis(0.5 * math.pi - margin, step)
+    cube = _direct_cube(axis, lambda axis, i: _direct_curvature_slab(axis, i, margin))
+    assert (_bits(cube) == _bits(cube.transpose(1, 0, 2))).all()
+    axis = _grid_axis(math.pi, step)
+    cube = _direct_cube(axis, _direct_angle_slab)
+    assert (_bits(cube) == _bits(cube.transpose(1, 0, 2))).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "scan, step, threshold",
+    [
+        ("curvature", 0.1, 60.0),
+        ("curvature", 0.07, 49.0),
+        ("angle", 0.1, -0.5),
+        ("angle", 0.13, -0.05),
+    ],
+)
+def test_scans_match_brute_force(scan, step, threshold, workers):
+    # the whole n^3 cube, with violations both on the diagonal j == i and off it
+    if scan == "curvature":
+        axis = _grid_axis(0.5 * math.pi - 0.05, step)
+        cube = _direct_cube(axis, lambda axis, i: _direct_curvature_slab(axis, i, 0.05))
+        bound, offset = threshold, 0.0
+        result = curvature_positivity_scan(step, 0.05, threshold, workers)
+    else:
+        axis = _grid_axis(math.pi, step)
+        cube = _direct_cube(axis, _direct_angle_slab)
+        bound, offset = -(math.pi + threshold), math.pi
+        result = angle_sum_max_scan(step, threshold, workers)
+    hits = cube < bound
+    diagonal = np.arange(axis.size)
+    assert hits[diagonal, diagonal].any()
+    assert hits.sum() > hits[diagonal, diagonal].sum()
+    first = np.unravel_index(np.argmin(cube), cube.shape)
+    assert result == ScanResult(
+        step,
+        offset + float(cube[first]),
+        tuple(float(axis[n]) for n in first),
+        int(hits.sum()),
+    )
 
 
 def test_scan_rejects_bad_parameters():

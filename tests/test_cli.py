@@ -241,7 +241,13 @@ def test_check_lemmas_self_test_fail(capsys):
 
 
 def test_check_lemmas_rejects_bad_samples_and_step(capsys):
-    for argv in (["--samples", "0"], ["--samples", "-1"], ["--step", "1e-300"]):
+    for argv in (
+        ["--samples", "0"],
+        ["--samples", "-1"],
+        ["--step", "1e-300"],
+        ["--step", "0"],
+        ["--step", "-0.0"],
+    ):
         code, out, err = run(capsys, "check-lemmas", *argv)
         assert code == 2
         assert out == ""

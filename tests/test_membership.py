@@ -9,8 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corrset import membership
-from corrset.checks import deterministic_strategy_vectors
-from corrset.corrvec import CanonicalForm, CorrelationVector, full_symmetry_group
+from corrset.checks import (
+    _VERTEX_BASIS,
+    deterministic_strategy_vectors,
+    lvt_oracle_batch,
+)
+from corrset.corrvec import (
+    DEFAULT_TOLERANCE,
+    CanonicalForm,
+    CorrelationVector,
+    full_symmetry_group,
+)
 from corrset.errors import InternalCheckError
 from corrset.membership import (
     CLASSICAL_BOUND,
@@ -263,3 +272,43 @@ def test_evaluate_canonicalizes_once(monkeypatch):
     for x in xs:
         evaluate(x)
     assert calls == xs
+
+
+def _restated_lvt_oracle_batch(xs, tolerance=DEFAULT_TOLERANCE):
+    # lvt_oracle_batch with numpy's own maximum over the last axis
+    vertex_value = np.abs(xs @ _VERTEX_BASIS.T / 4.0).sum(axis=-1)
+    facet_value = np.maximum(
+        np.abs(xs).max(axis=-1), 0.5 * chsh_combinations(xs).max(axis=-1)
+    )
+    if float(np.max(np.abs(vertex_value - facet_value))) > 1e-9:
+        raise InternalCheckError("vertex and facet oracle paths disagree")
+    return vertex_value <= 1.0 + 0.5 * tolerance
+
+
+def _arrays_of_shape(shape):
+    size = math.prod(shape)
+    values = st.lists(zero_prone, min_size=size, max_size=size)
+    return values.map(lambda v: np.array(v).reshape(shape))
+
+
+vector_arrays = st.one_of(
+    st.just((4,)),
+    st.tuples(st.integers(1, 12), st.just(4)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(4)),
+).flatmap(_arrays_of_shape)
+
+
+@given(vector_arrays)
+def test_array_row_maxima_bitwise_the_last_axis_max(xs):
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    combos = chsh_combinations(xs)
+    arcsines = arcsine_combinations(xs)
+    for values in (combos, arcsines, np.abs(xs)):
+        assert bits(membership._row_max(values)) == bits(values.max(axis=-1))
+    assert bits(classical_margins(xs)) == bits(CLASSICAL_BOUND - combos.max(axis=-1))
+    assert bits(quantum_margins(xs)) == bits(QUANTUM_BOUND - arcsines.max(axis=-1))
+    verdict = lvt_oracle_batch(xs)
+    assert np.shape(verdict) == xs.shape[:-1]
+    assert np.array_equal(verdict, _restated_lvt_oracle_batch(xs))
