@@ -269,12 +269,13 @@ def _pair_sum_table(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _scan_chunk(args: tuple) -> tuple[float, tuple[float, ...] | None, int]:
     """Rows start..stop-1 of a minimum scan: the first smallest value with
     its grid point, and the count of values below `bound`.
-    `make_slabs(*params)` gives the axis and `slab(i)`: (first, values), the
+    `make_slabs(*params)` gives the axis, `slab(i)`: (first, values), the
     values at (axis[i], axis[j], axis[k]) for rows j = first, first + 1, ...
-    with first >= i, or None when row i has no grid point with j >= i.  A
-    value is the same at (j, i, k), so a row j > i counts twice."""
+    with first >= i, or None when row i has no grid point with j >= i, and
+    the number of rows each slab(i) holds.  A value is the same at
+    (j, i, k), so a row j > i counts twice."""
     start, stop, make_slabs, params, bound = args
-    axis, slab = make_slabs(*params)
+    axis, slab, _ = make_slabs(*params)
     count = axis.size
     best = math.inf
     best_arg: tuple[float, ...] | None = None
@@ -303,11 +304,12 @@ def _min_scan(
     make_slabs, params: tuple, bound: float, workers: int
 ) -> tuple[float, tuple[float, ...], int]:
     """(min value, its grid point, count below `bound`) over the grid.
-    Ties go to the smallest grid point, whatever the split into chunks."""
-    size = make_slabs(*params)[0].size
+    Ties go to the smallest grid point, whatever the split into chunks.
+    Row i's work is its slab rows, and one more row's worth to find them."""
+    rows = make_slabs(*params)[2]
     args = [
         (start, stop, make_slabs, params, bound)
-        for start, stop in _chunk_ranges(size, workers)
+        for start, stop in _chunk_ranges(rows + 1, workers)
     ]
     results = _run_chunks(_scan_chunk, args, workers)
     candidates = [r for r in results if r[1] is not None]
@@ -324,6 +326,9 @@ def _curvature_slabs(step: float, margin: float):
     high_sum = 1.5 * math.pi - margin
     sin_term = np.sin(axis) / np.cos(axis) ** 5
     weight_term = 1.0 / np.cos(axis) ** 2
+    # slab(i)'s rows: j >= i from the first whose sum can reach low_sum
+    reach = np.searchsorted(axis, low_sum - axis[-1] - axis)
+    rows = axis.size - np.maximum(np.arange(axis.size), reach)
 
     @functools.cache
     def table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,7 +353,7 @@ def _curvature_slabs(step: float, margin: float):
             weight_term[i] + weight_term[j, None] + weight_term[None, :]
         ) ** 2
 
-    return axis, slab
+    return axis, slab, rows
 
 
 def curvature_positivity_scan(
@@ -385,7 +390,7 @@ def _negated_angle_sum_slabs(step: float):
             where[i, i:]
         ]
 
-    return axis, slab
+    return axis, slab, axis.size - np.arange(axis.size)
 
 
 def angle_sum_max_scan(
@@ -430,12 +435,16 @@ def _check_scan_params(step: float, margin: float | None) -> None:
         )
 
 
-def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
-    """Split range(size) into contiguous (start, stop) pieces, one per
-    worker when every worker gets at least 4 indices, else one piece."""
+def _chunk_ranges(costs: np.ndarray, workers: int) -> list[tuple[int, int]]:
+    """Split the indices of the positive `costs` into contiguous (start,
+    stop) pieces, one per worker when every worker gets at least 4 indices,
+    else one; each cut falls where the running total is nearest its share."""
+    size = len(costs)
     pieces = workers if workers > 1 and size >= 4 * workers else 1
-    bounds = np.linspace(0, size, pieces + 1).astype(int)
-    return [(int(bounds[k]), int(bounds[k + 1])) for k in range(pieces)]
+    totals = np.concatenate(([0], np.cumsum(costs)))
+    shares = totals[-1] * np.arange(pieces + 1) / pieces
+    cuts = np.rint(np.interp(shares, totals, np.arange(size + 1))).astype(int)
+    return [(int(cuts[k]), int(cuts[k + 1])) for k in range(pieces)]
 
 
 def _run_chunks(func, args: list, workers: int) -> list:

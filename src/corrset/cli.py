@@ -221,8 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise DomainError(f"realization file is not valid JSON: {exc}") from exc
     realization = quantum.Realization.from_json_dict(data)
-    realization.validate()
-    vector = quantum.expectation(realization, validate=False)
+    vector = quantum.expectation(realization)
     report = membership.evaluate(vector, tolerance)
     fmt = _pick_format(args, "json")
     if fmt == "json":
@@ -315,6 +314,8 @@ def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
 
 def cmd_check_lemmas(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
+    if _pick_format(args, "json") != "json":
+        raise DomainError("check-lemmas emits nested results and supports only json")
     if args.samples < 1:
         raise DomainError(f"sample count must be at least 1, got {args.samples}")
     hessian_step = args.hessian_step if args.step is None else args.step
@@ -374,17 +375,6 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
     return 0
 
 
-def _quantum_slice_bounds(x2: float, x3: float) -> tuple[float, float]:
-    # on the box edge the interval collapses to the single point x2*x3;
-    # pin that exactly instead of leaving a last-ulp gap from the cosines
-    if abs(x2) == 1.0 or abs(x3) == 1.0:
-        pinned = x2 * x3 + 0.0
-        return (pinned, pinned)
-    theta2 = math.asin(x2)
-    theta3 = math.asin(x3)
-    return (-math.cos(theta2 + theta3), math.cos(theta2 - theta3))
-
-
 def _classical_slice_bounds(u2: float, u3: float) -> tuple[float, float]:
     low = max(u2 + u3 - 1.0, -1.0 - u2 - u3)
     high = min(1.0 - u2 + u3, 1.0 + u2 - u3)
@@ -394,7 +384,7 @@ def _classical_slice_bounds(u2: float, u3: float) -> tuple[float, float]:
 def _check_slice_relation(x2: float, x3: float) -> None:
     # the classical slice is the component-wise mu image of the quantum one
     scale = 2.0 / math.pi
-    q_low, q_high = _quantum_slice_bounds(x2, x3)
+    q_low, q_high = geometry.face_segment(x2, x3)
     c_low, c_high = _classical_slice_bounds(
         scale * math.asin(x2), scale * math.asin(x3)
     )
@@ -411,16 +401,13 @@ def cmd_slice(args: argparse.Namespace) -> int:
     _resolve_tolerance(args)
     if args.grid < 2:
         raise DomainError(f"grid must be at least 2, got {args.grid}")
-    axis = np.linspace(-1.0, 1.0, args.grid)
+    axis = np.linspace(-1.0, 1.0, args.grid).tolist()
+    bounds = geometry.face_segment if args.which == "Q" else _classical_slice_bounds
     rows = []
     for x2 in axis:
         for x3 in axis:
-            _check_slice_relation(float(x2), float(x3))
-            if args.which == "Q":
-                low, high = _quantum_slice_bounds(float(x2), float(x3))
-            else:
-                low, high = _classical_slice_bounds(float(x2), float(x3))
-            rows.append([float(x2), float(x3), low, high])
+            _check_slice_relation(x2, x3)
+            rows.append([x2, x3, *bounds(x2, x3)])
     fmt = _pick_format(args, "csv")
     if fmt == "csv":
         _emit(args, _csv_text(["x2", "x3", "x4_low", "x4_high"], rows))

@@ -28,11 +28,6 @@ class PreconditionError(CorrSetError, ValueError):
     """A documented precondition other than ordering was violated."""
 
 
-class NotOnBoundaryError(CorrSetError, ValueError):
-    """The input does not saturate the arcsine bound, so it has no
-    single-generator identification."""
-
-
 class NotInQuantumSetError(CorrSetError, ValueError):
     """Decomposition was requested for a vector outside the quantum set."""
 

@@ -57,7 +57,6 @@ from .corrvec import (
 from .errors import (
     InternalCheckError,
     NotInQuantumSetError,
-    NotOnBoundaryError,
     NotSOrderedError,
     PreconditionError,
 )
@@ -66,7 +65,6 @@ _TWO_PI = 2.0 * math.pi
 _S_ORDER_SLACK = 1e-12
 _RECONSTRUCTION_TOLERANCE = 1e-9
 _WEIGHT_SUM_TOLERANCE = 1e-12
-_ANGLE_SUM_TOLERANCE = 1e-9
 
 
 def reduce_angle(phi: float) -> float:
@@ -115,45 +113,6 @@ class GeneratorPoint:
             math.sin(self.phi3),
             -math.sin(self.phi1 + self.phi2 + self.phi3),
         )
-
-    def angles(self) -> "AngleVector":
-        """Equivalent 4-angle form with nu4 = -(phi1+phi2+phi3) mod 2*pi."""
-        return AngleVector(
-            self.phi1,
-            self.phi2,
-            self.phi3,
-            reduce_angle(-(self.phi1 + self.phi2 + self.phi3)),
-        )
-
-
-@dataclass(frozen=True)
-class AngleVector:
-    """Four angles constrained to sum to a multiple of 2*pi.
-
-    This is the symmetric way to write a generator: component i of the
-    generated vector is sin(nu_i) for i = 1..3 and sin(nu4) for the fourth,
-    and the closure constraint makes the two descriptions interchangeable.
-    """
-
-    nu1: float
-    nu2: float
-    nu3: float
-    nu4: float
-
-    def __post_init__(self) -> None:
-        total = self.nu1 + self.nu2 + self.nu3 + self.nu4
-        residual = math.remainder(total, _TWO_PI)
-        if abs(residual) > _ANGLE_SUM_TOLERANCE:
-            raise PreconditionError(
-                f"angle sum {total!r} deviates from a multiple of 2*pi "
-                f"by {residual!r}"
-            )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.nu1, self.nu2, self.nu3, self.nu4)
-
-    def generator(self) -> GeneratorPoint:
-        return GeneratorPoint(self.nu1, self.nu2, self.nu3)
 
 
 @dataclass(frozen=True)
@@ -220,6 +179,10 @@ def generator_values(phis: np.ndarray) -> np.ndarray:
     return np.concatenate([values, last[..., None]], axis=-1)
 
 
+def _arcsine_sum(t: tuple[float, float, float, float]) -> float:
+    return math.asin(t[0]) + math.asin(t[1]) + math.asin(t[2]) - math.asin(t[3])
+
+
 def arcsine_sum(x: CorrelationVector) -> float:
     """The canonical membership functional asin x1 + asin x2 + asin x3 - asin x4.
 
@@ -230,26 +193,26 @@ def arcsine_sum(x: CorrelationVector) -> float:
         raise NotSOrderedError(
             f"{x.as_tuple()!r} does not satisfy x1 >= x2 >= x3 >= |x4|"
         )
-    t = x.as_tuple()
-    return math.asin(t[0]) + math.asin(t[1]) + math.asin(t[2]) - math.asin(t[3])
+    return _arcsine_sum(x.as_tuple())
 
 
-def boundary_to_generator(
-    x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE
-) -> GeneratorPoint:
-    """Identify a point of the curved boundary with its unique generator.
+def face_segment(x2: float, x3: float) -> tuple[float, float]:
+    """The fourth coordinates [low, high] of the quantum set over (1, x2, x3).
 
-    For s-ordered x with arcsine_sum(x) = pi the angles are simply
-    phi_i = asin x_i; the closure of the angle sum reproduces the fourth
-    component automatically.
+    With theta_i = asin x_i the segment is
+
+        x4 in [-cos(theta2 + theta3), cos(theta2 - theta3)],
+
+    and on the box edge |x2| = 1 or |x3| = 1 it collapses to the single
+    point x2*x3, which is pinned exactly instead of leaving a last-ulp gap
+    from the cosines.
     """
-    value = arcsine_sum(x)
-    if abs(value - math.pi) > tolerance:
-        raise NotOnBoundaryError(
-            f"arcsine sum {value!r} is not pi within tolerance {tolerance:g}"
-        )
-    t = x.as_tuple()
-    return GeneratorPoint(math.asin(t[0]), math.asin(t[1]), math.asin(t[2]))
+    if abs(x2) == 1.0 or abs(x3) == 1.0:
+        pinned = x2 * x3 + 0.0
+        return (pinned, pinned)
+    theta2 = math.asin(x2)
+    theta3 = math.asin(x3)
+    return (-math.cos(theta2 + theta3), math.cos(theta2 - theta3))
 
 
 def face_decompose(
@@ -257,69 +220,61 @@ def face_decompose(
 ) -> Decomposition:
     """Split a point of the face x1 = 1 between two extremal generators.
 
-    With theta_i = asin x_i, the quantum set intersects the line over
-    (1, x2, x3) in the segment
-
-        x4 in [-cos(theta2 + theta3), cos(theta2 - theta3)],
-
-    whose endpoints are generated by G(pi/2, theta2, theta3) and
-    G(pi/2, theta2, pi - theta3).  The input's fourth coordinate picks the
-    mixing weight.  Degenerate segments (endpoints closer than 1e-9, the
+    The quantum set meets the line over (1, x2, x3) in the segment
+    `face_segment(x2, x3)`, whose endpoints are generated by
+    G(pi/2, theta2, theta3) and G(pi/2, theta2, pi - theta3) with
+    theta_i = asin x_i.  The input's fourth coordinate picks the mixing
+    weight.  Degenerate segments (endpoints closer than 1e-9, the
     reconstruction bound) give a single term of weight 1; `tolerance`
-    only admits the input.
+    only admits the input, which must be s-ordered, with x1 = 1 and an
+    arcsine sum at most pi within `tolerance`.
     """
-    if not is_s_ordered(x, slack=_S_ORDER_SLACK):
-        raise NotSOrderedError(
-            f"{x.as_tuple()!r} does not satisfy x1 >= x2 >= x3 >= |x4|"
-        )
+    value = arcsine_sum(x)  # raises NotSOrderedError first
     t = x.as_tuple()
     if abs(t[0] - 1.0) > tolerance:
         raise PreconditionError(
             f"face decomposition needs x1 = 1 within tolerance, got {t[0]!r}"
         )
-    value = arcsine_sum(x)
     if value > math.pi + tolerance:
         raise NotInQuantumSetError(
             f"point outside the quantum set: arcsine sum {value!r} > pi"
         )
+    return Decomposition(_face_terms(t))
 
-    theta2 = math.asin(t[1])
-    theta3 = math.asin(t[2])
-    low = -math.cos(theta2 + theta3)
-    high = math.cos(theta2 - theta3)
+
+def _face_terms(
+    z: tuple[float, float, float, float]
+) -> tuple[tuple[float, GeneratorPoint], ...]:
+    """The terms of `face_decompose` for an admitted face point z."""
+    theta2 = math.asin(z[1])
+    theta3 = math.asin(z[2])
+    low, high = face_segment(z[1], z[2])
     g_low = GeneratorPoint(0.5 * math.pi, theta2, theta3)
-    g_high = GeneratorPoint(0.5 * math.pi, theta2, math.pi - theta3)
-
     if high - low < _RECONSTRUCTION_TOLERANCE:
-        return Decomposition(((1.0, g_low),))
-
-    lam = (t[3] - low) / (high - low)
-    lam = min(1.0, max(0.0, lam))
-    terms: list[tuple[float, GeneratorPoint]] = []
-    if 1.0 - lam > 0.0:
-        terms.append((1.0 - lam, g_low))
-    if lam > 0.0:
-        terms.append((lam, g_high))
-    return Decomposition(tuple(terms))
+        return ((1.0, g_low),)
+    g_high = GeneratorPoint(0.5 * math.pi, theta2, math.pi - theta3)
+    lam = min(1.0, max(0.0, (z[3] - low) / (high - low)))
+    return tuple((w, g) for w, g in ((1.0 - lam, g_low), (lam, g_high)) if w > 0.0)
 
 
 def angle_transport(op: SymmetryOp, g: GeneratorPoint) -> GeneratorPoint:
     """Transport a generator through a symmetry op at the angle level.
 
-    Expands to the 4-angle form, permutes the angles like the op permutes
-    components, and adds pi at each sign-flipped position.  Since the op
-    flips an even number of signs, the angle-sum constraint survives, and
+    Expands to the 4-angle form (phi1, phi2, phi3, nu4) with
+    nu4 = -(phi1 + phi2 + phi3) reduced to (-pi, pi], permutes the angles
+    like the op permutes components, and adds pi at each sign-flipped
+    position.  Since the op flips an even number of signs, the angle sum
+    stays a multiple of 2*pi, and
 
         angle_transport(op, g).evaluate() == op.apply(g.evaluate())
 
     up to floating point roundoff.
     """
-    nus = g.angles().as_tuple()
+    nus = (g.phi1, g.phi2, g.phi3, reduce_angle(-(g.phi1 + g.phi2 + g.phi3)))
     q = op.source_indices()
-    shifted = tuple(
-        nus[q[i]] + (math.pi if op.signs[i] < 0 else 0.0) for i in range(4)
+    return GeneratorPoint(
+        *(nus[q[i]] + (math.pi if op.signs[i] < 0 else 0.0) for i in range(3))
     )
-    return GeneratorPoint(shifted[0], shifted[1], shifted[2])
 
 
 def _ray_arcsines(
@@ -428,9 +383,7 @@ def decompose(
     form = canonicalize(x)
     y = form.canonical.as_tuple()
 
-    f_y = (
-        math.asin(y[0]) + math.asin(y[1]) + math.asin(y[2]) - math.asin(y[3])
-    )
+    f_y = _arcsine_sum(y)
     margin = math.pi - f_y
     if margin < -tolerance:
         raise NotInQuantumSetError(
@@ -446,32 +399,20 @@ def decompose(
         # already on the curved boundary: single extremal term
         terms = ((1.0, GeneratorPoint(*(math.asin(v) for v in y[:3]))),)
     else:
-        scale = y[0]  # reciprocal of the ray parameter of the box face
-        z = CorrelationVector(1.0, y[1] / y[0], y[2] / y[0], y[3] / y[0])
-        f_z = arcsine_sum(z)
-        if f_z <= math.pi + _RECONSTRUCTION_TOLERANCE:
+        weight = y[0]  # of the exit point; the origin takes the rest
+        # the face point: s-ordered, with z1 = 1 exactly
+        z = (1.0, y[1] / y[0], y[2] / y[0], y[3] / y[0])
+        if _arcsine_sum(z) <= math.pi + _RECONSTRUCTION_TOLERANCE:
             # the ray exits through the box face x1 = 1
-            face = face_decompose(z, _RECONSTRUCTION_TOLERANCE)
-            scaled = tuple((w * scale, g) for w, g in face.terms)
-            if 1.0 - scale > 0.0:
-                scaled = scaled + ((1.0 - scale, GeneratorPoint.origin()),)
-            terms = scaled
+            terms = tuple((w * weight, g) for w, g in _face_terms(z))
         else:
             # the ray exits through the curved boundary at sin(theta1) * z
-            face_point = z.as_tuple()
-            theta1 = _boundary_angle(face_point)
-            (phi2, phi3, _), _ = _ray_arcsines(
-                face_point, 0.5 * math.pi - theta1
-            )
-            generator = GeneratorPoint(theta1, phi2, phi3)
-            weight = min(1.0, scale / math.sin(theta1))
-            if 1.0 - weight > 0.0:
-                terms = (
-                    (weight, generator),
-                    (1.0 - weight, GeneratorPoint.origin()),
-                )
-            else:
-                terms = ((1.0, generator),)
+            theta1 = _boundary_angle(z)
+            (phi2, phi3, _), _ = _ray_arcsines(z, 0.5 * math.pi - theta1)
+            weight = min(1.0, weight / math.sin(theta1))
+            terms = ((weight, GeneratorPoint(theta1, phi2, phi3)),)
+        if 1.0 - weight > 0.0:
+            terms += ((1.0 - weight, GeneratorPoint.origin()),)
 
     inverse = form.op.inverse()
     if not inverse.is_identity:

@@ -124,11 +124,13 @@ class Realization:
         """Run all invariant checks; raise InvariantViolationError naming
         the first failed check.
 
-        The observables are checked one party at a time, A0 and A1 as one
-        (2, d, d) stack, then B0 and B1, for finiteness, Hermiticity and
-        involution, with O^2 - I formed by subtracting 1 on the diagonal.
-        Only when a party's stack fails are its observables checked one by
-        one, in the order A0, A1, B0, B1, to name the first failed check.
+        Each party's two observables must share one (d, d) shape, checked
+        first.  After the state's shape, the observables are checked one
+        party at a time, A0 and A1 as one (2, d, d) stack, then B0 and B1,
+        for finiteness, Hermiticity and involution, with O^2 - I formed by
+        subtracting 1 on the diagonal.  Only when a party's stack fails are
+        its observables checked one by one, in the order A0, A1, B0, B1, to
+        name the first failed check.
 
         The state is checked on its support S, the rows and columns holding
         a nonzero entry.  Outside S x S every entry is zero, so finiteness
@@ -139,6 +141,17 @@ class Realization:
         4 of 16 or 6 of 36.  A state with no zero on its diagonal has full
         support, and is checked whole without looking for S.
         """
+        parties = (
+            (("A0", "A1"), (self.a0, self.a1)),
+            (("B0", "B1"), (self.b0, self.b1)),
+        )
+        for names, pair in parties:
+            d = pair[0].shape[0]
+            for name, obs in zip(names, pair):
+                if obs.shape != (d, d):
+                    raise InvariantViolationError(
+                        f"check 'observable-shape' failed for {name}"
+                    )
         dim_a, dim_b = self.dims
         joint = dim_a * dim_b
         if self.state.shape != (joint, joint):
@@ -146,21 +159,11 @@ class Realization:
                 f"check 'state-shape' failed: state is {self.state.shape}, "
                 f"expected {(joint, joint)}"
             )
-        for names, pair in (
-            (("A0", "A1"), (self.a0, self.a1)),
-            (("B0", "B1"), (self.b0, self.b1)),
-        ):
-            first, second = pair
-            d = first.shape[0]
-            if first.shape == second.shape == (d, d) and first.dtype == second.dtype:
-                if _failed_observable_check(np.array(pair)) is None:
-                    continue
+        for names, pair in parties:
+            same_dtype = pair[0].dtype == pair[1].dtype
+            if same_dtype and _failed_observable_check(np.array(pair)) is None:
+                continue
             for name, obs in zip(names, pair):
-                d = obs.shape[0]
-                if obs.shape != (d, d):
-                    raise InvariantViolationError(
-                        f"check 'observable-shape' failed for {name}"
-                    )
                 failed = _failed_observable_check(np.array([obs]))
                 if failed is not None:
                     check, detail = failed
@@ -528,6 +531,6 @@ def sample_correlations(
         raise DimensionError(f"count must be nonnegative, got {count}")
     args = [
         (start, stop, dim_a, dim_b, seed)
-        for start, stop in _chunk_ranges(count, workers)
+        for start, stop in _chunk_ranges(np.ones(count), workers)
     ]
     return np.concatenate(_run_chunks(_sample_chunk, args, workers), axis=0)

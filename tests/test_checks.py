@@ -11,10 +11,12 @@ import pytest
 
 from corrset.corrvec import CorrelationVector
 from corrset.errors import DomainError, PreconditionError
+from corrset import checks
 from corrset.checks import (
     ANGLE_SUM_THRESHOLD,
     CURVATURE_THRESHOLD,
     ScanResult,
+    _chunk_ranges,
     _curvature_slabs,
     _grid_axis,
     _negated_angle_sum_slabs,
@@ -222,14 +224,17 @@ def _direct_cube(axis, direct_slab):
 
 @pytest.mark.parametrize("step, margin", SLAB_GRIDS)
 def test_slabs_match_direct_evaluation(step, margin):
-    # a slab holds rows j >= i; the rows it leaves out have no grid point
-    def check(axis, slab, direct_slab):
+    # a slab holds rows j >= i; the rows it leaves out have no grid point,
+    # and its row count is the one the slab maker reports
+    def check(axis, slab, counts, direct_slab):
         cube = _direct_cube(axis, direct_slab)
         for i in range(axis.size):
             rows = slab(i)
             if rows is None:
+                assert counts[i] == 0
                 assert (cube[i, i:] == np.inf).all()
                 continue
+            assert counts[i] == rows[1].shape[0]
             first, values = rows
             last = first + values.shape[0]
             assert i <= first < last <= axis.size
@@ -238,10 +243,10 @@ def test_slabs_match_direct_evaluation(step, margin):
             assert (cube[i, i:first] == np.inf).all()
             assert (cube[i, last:] == np.inf).all()
 
-    axis, slab = _curvature_slabs(step, margin)
-    check(axis, slab, lambda axis, i: _direct_curvature_slab(axis, i, margin))
-    axis, slab = _negated_angle_sum_slabs(step)
-    check(axis, slab, _direct_angle_slab)
+    axis, slab, counts = _curvature_slabs(step, margin)
+    check(axis, slab, counts, lambda axis, i: _direct_curvature_slab(axis, i, margin))
+    axis, slab, counts = _negated_angle_sum_slabs(step)
+    check(axis, slab, counts, _direct_angle_slab)
 
 
 @pytest.mark.parametrize("step, margin", SLAB_GRIDS)
@@ -256,7 +261,7 @@ def test_direct_slabs_are_mirror_images(step, margin):
     assert (_bits(cube) == _bits(cube.transpose(1, 0, 2))).all()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize(
     "scan, step, threshold",
     [
@@ -289,6 +294,49 @@ def test_scans_match_brute_force(scan, step, threshold, workers):
         tuple(float(axis[n]) for n in first),
         int(hits.sum()),
     )
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "make_slabs, params",
+    [
+        (_curvature_slabs, (0.01, 0.05)),
+        (_curvature_slabs, (0.03, 0.3)),
+        (_negated_angle_sum_slabs, (0.02,)),
+        (_negated_angle_sum_slabs, (0.1,)),
+    ],
+)
+def test_scan_chunks_balance_work(monkeypatch, make_slabs, params, workers):
+    # row i evaluates its slab rows of n points each and looks them up in
+    # one more row's worth; an even split of the rows i gave the first of
+    # two workers about 3/4 of the angle scan's points
+    chunks = []
+
+    def record(func, args, workers):
+        chunks.extend((start, stop) for start, stop, *_ in args)
+        return [func(a) for a in args]
+
+    monkeypatch.setattr(checks, "_run_chunks", record)
+    checks._min_scan(make_slabs, params, 0.0, workers)
+    axis, _, rows = make_slabs(*params)
+    n = axis.size
+    assert len(chunks) == workers
+    assert chunks[0][0] == 0 and chunks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    work = [n * int((rows[start:stop] + 1).sum()) for start, stop in chunks]
+    row = n * int(rows.max() + 1)  # the largest row's worth
+    share = sum(work) / workers
+    assert all(abs(w - share) <= row for w in work)
+    if workers == 2:
+        assert max(work) - min(work) <= row
+
+
+def test_chunk_ranges_one_worker_and_even_costs():
+    assert _chunk_ranges(100 - np.arange(100), 1) == [(0, 100)]
+    # too few indices for every worker to get 4: one chunk
+    assert _chunk_ranges(np.ones(7), 2) == [(0, 7)]
+    sizes = [stop - start for start, stop in _chunk_ranges(np.ones(103), 4)]
+    assert sum(sizes) == 103 and max(sizes) - min(sizes) <= 1
 
 
 def test_scan_rejects_bad_parameters():

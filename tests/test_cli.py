@@ -170,6 +170,24 @@ def test_verify_rejects_corrupted(capsys, tmp_path):
     assert "observable" in err
 
 
+@pytest.mark.parametrize("name", ["A1", "B1"])
+def test_verify_rejects_mismatched_observable_size(capsys, tmp_path, name):
+    target = tmp_path / "realization.json"
+    code, _, _ = run(capsys, "realize", "0.5", "0.2", "-0.1", "0", "--output", str(target))
+    assert code == 0
+    data = json.loads(target.read_text())
+    data[name] = [
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+    ]
+    target.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: check 'observable-shape' failed for {name}\n"
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2
@@ -238,6 +256,18 @@ def test_check_lemmas_self_test_fail(capsys):
     assert code == 1
     assert json.loads(out)["all_passed"] is False
     assert "forced-self-test-failure" in err
+
+
+def test_check_lemmas_csv_unsupported(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", no_scan)
+    code, out, err = run(capsys, "check-lemmas", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "json" in err
 
 
 def test_check_lemmas_rejects_bad_samples_and_step(capsys):

@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 from corrset.corrvec import CorrelationVector, canonicalize, full_symmetry_group
 from corrset.errors import (
     NotInQuantumSetError,
-    NotOnBoundaryError,
     NotSOrderedError,
     PreconditionError,
 )
 from corrset import geometry
 from corrset.geometry import (
-    AngleVector,
     Decomposition,
     GeneratorPoint,
     angle_transport,
     arcsine_sum,
-    boundary_to_generator,
     decompose,
     face_decompose,
+    face_segment,
     generator_values,
     reduce_angle,
 )
@@ -100,24 +98,20 @@ def test_arcsine_sum_values():
         arcsine_sum(CorrelationVector(0.1, 0.9, 0.0, 0.0))
 
 
-def test_boundary_to_generator_examples():
-    g = boundary_to_generator(CorrelationVector(T, T, T, -T))
-    assert (g.phi1, g.phi2, g.phi3) == pytest.approx(
-        (math.pi / 4,) * 3, abs=1e-12
-    )
-    g = boundary_to_generator(CorrelationVector(1, 1, 1, 1))
-    assert (g.phi1, g.phi2, g.phi3) == pytest.approx(
-        (math.pi / 2,) * 3, abs=1e-12
-    )
-    g = boundary_to_generator(CorrelationVector(1, 1, 0, 0))
-    assert (g.phi1, g.phi2, g.phi3) == pytest.approx(
-        (math.pi / 2, math.pi / 2, 0), abs=1e-12
-    )
-
-
-def test_boundary_to_generator_rejects_interior():
-    with pytest.raises(NotOnBoundaryError):
-        boundary_to_generator(CorrelationVector(0.5, 0, 0, 0))
+@pytest.mark.parametrize(
+    "x, phis",
+    [
+        ((T, T, T, -T), (math.pi / 4,) * 3),
+        ((1, 1, 1, 1), (math.pi / 2,) * 3),
+        ((1, 1, 0, 0), (math.pi / 2, math.pi / 2, 0)),
+    ],
+)
+def test_decompose_boundary_point_is_one_generator(x, phis):
+    # a point of the curved boundary is its own generator, phi_i = asin x_i
+    d = decompose(CorrelationVector(*x))
+    assert len(d.terms) == 1
+    assert d.weights[0] == 1.0
+    assert d.generators[0].as_tuple() == pytest.approx(phis, abs=1e-12)
 
 
 def test_face_decompose_split():
@@ -156,6 +150,29 @@ def test_face_decompose_preconditions():
         face_decompose(CorrelationVector(0.9, 0.1, 0.1, 0.0))
     with pytest.raises(NotSOrderedError):
         face_decompose(CorrelationVector(1.0, 0.3, 0.9, 0.0))
+
+
+@pytest.mark.parametrize(
+    "x2, x3, x4", [(0.3, 0.2, 0.1), (0.9, 0.8, 0.6), (0.5, 0.5, 0.0)]
+)
+def test_face_decompose_generators_at_segment_ends(x2, x3, x4):
+    low, high = face_segment(x2, x3)
+    assert low < x4 < high
+    d = face_decompose(CorrelationVector(1.0, x2, x3, x4))
+    assert len(d.terms) == 2
+    fourth = [g.evaluate().x4 for g in d.generators]
+    assert fourth == pytest.approx([low, high], abs=1e-12)
+    assert d.reconstruct().as_tuple() == pytest.approx((1.0, x2, x3, x4), abs=1e-12)
+
+
+@pytest.mark.parametrize("x3", [0.0, 0.37, 1.0])
+def test_face_segment_pinned_on_box_edge(x3):
+    # at |x2| = 1 the segment is the single point x2*x3, and one term
+    assert face_segment(1.0, x3) == (x3, x3)
+    assert face_segment(-x3, -1.0) == (x3, x3)
+    d = face_decompose(CorrelationVector(1.0, 1.0, x3, x3))
+    assert len(d.terms) == 1
+    assert d.reconstruct().as_tuple() == pytest.approx((1.0, 1.0, x3, x3), abs=1e-12)
 
 
 def test_decompose_frozen_examples():
@@ -276,18 +293,6 @@ def test_decompose_transport_consistency():
             np.array(d.reconstruct().as_tuple()) - np.array(y.as_tuple())
         ).max()
         assert residual <= 1e-9
-
-
-def test_angle_vector_constraint():
-    v = AngleVector(0.3, 0.4, 0.5, -1.2)
-    assert v.generator().as_tuple() == pytest.approx((0.3, 0.4, 0.5), abs=0)
-    with pytest.raises(ValueError):
-        AngleVector(0.3, 0.4, 0.5, 0.0)
-    # shifting one entry by 2*pi keeps the constraint
-    AngleVector(0.3, 0.4, 0.5, -1.2 + 2 * math.pi)
-    # the 3-angle and 4-angle forms agree componentwise on the sines
-    four = GeneratorPoint(0.3, 0.4, 0.5).angles()
-    assert math.sin(four.nu4) == pytest.approx(-math.sin(1.2), abs=1e-15)
 
 
 def test_decomposition_validation():

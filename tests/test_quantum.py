@@ -269,6 +269,21 @@ def test_validate_accepts_non_contiguous_arrays():
         broken.validate()
 
 
+@pytest.mark.parametrize("name", ["a1", "b1"])
+def test_validate_requires_one_observable_shape_per_party(name):
+    # a 3x3 involution beside a 2x2 one: named before any other check, and
+    # before expectation would stack the two
+    r = realize_generator(GeneratorPoint(0.5, 0.2, -0.1))
+    parts = {k: getattr(r, k) for k in ("state", "a0", "a1", "b0", "b1")}
+    parts[name] = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    broken = Realization(**parts)
+    message = rf"^check 'observable-shape' failed for {name.upper()}$"
+    with pytest.raises(InvariantViolationError, match=message):
+        broken.validate()
+    with pytest.raises(InvariantViolationError, match=message):
+        expectation(broken)
+
+
 def _realize_term_by_term(decomposition: Decomposition) -> Realization:
     """Mixture realization written one term at a time from np.outer and
     per-entry phase factors, as a reference for the batched construction."""
