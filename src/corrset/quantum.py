@@ -1,24 +1,22 @@
 """Explicit quantum realizations of correlation vectors.
 
-A single generator G(phi1, phi2, phi3) is realized on a qubit pair: with
-phases derived from the angles,
+Every member x = (<A0 B0>, <A0 B1>, <A1 B0>, <A1 B1>) of the quantum set
+is realized on one maximally entangled qubit pair.  By Tsirelson's theorem
+(Lett. Math. Phys. 4, 93, 1980) x_ab = u_a . v_b for unit vectors u_a, v_b
+in R^3, and Landau's condition (Found. Phys. 18, 449, 1988), which cuts out
+the same set as the arcsine inequality, gives them in closed form (see
+`realize_mixture`).  On the state
 
-    phi   = pi/2 - phi1,
-    alpha = phi3 + phi1 - pi,
-    beta  = phi2 + phi1 - pi,
+    |psi> = (H x I)|Phi+> = (|00> + |01> + |10> - |11>)/2,
 
-the state (|00> + e^{i phi} |11>)/sqrt(2) measured with the off-diagonal
-observables
+whose diagonal holds no zero, the observables
 
-    A_a = e^{i a alpha} |0><1| + e^{-i a alpha} |1><0|   (a = 0, 1)
+    A_a = H (u_a . sigma) H,    B_b = (v_b . sigma)^T
 
-and B_b built the same way from beta yields <A_a B_b> = cos(phi + a alpha
-+ b beta), which reproduces the generator's components.
-
-Mixtures are realized block-diagonally: party observables are direct sums
-of the per-term qubit observables and the state is the weighted direct sum
-of the per-term pair states, placed on the matching diagonal blocks of the
-tensor product.  A k-term mixture therefore uses local dimension 2k.
+give <A_a B_b> = <Phi+| (u_a . sigma) x (v_b . sigma)^T |Phi+> = u_a . v_b.
+A generator mixture is realized through the vector it reconstructs, so a
+realization shows the mixture's correlations, not its terms; the
+decomposition shows those.
 
 Everything is a plain numpy complex array.  Random strategy sampling uses
 numpy's PCG64 generator with explicit per-index stream splitting: sample
@@ -63,7 +61,7 @@ import numpy as np
 from .checks import _chunk_ranges, _run_chunks
 from .corrvec import CorrelationVector
 from .errors import DimensionError, DomainError, InvariantViolationError
-from .geometry import Decomposition, GeneratorPoint, reduce_angle
+from .geometry import Decomposition, GeneratorPoint
 
 _TRACE_TOLERANCE = 1e-12
 _HERMITIAN_TOLERANCE = 1e-12
@@ -77,26 +75,8 @@ MAX_LOCAL_DIMENSION = 8
 # Indices per batched sampling kernel call; rows do not depend on it.
 _SAMPLE_BLOCK = 32
 
-
-@dataclass(frozen=True)
-class PhaseParams:
-    """State and observable phases realizing one generator."""
-
-    phi: float
-    alpha: float
-    beta: float
-
-    @classmethod
-    def from_generator(cls, g: GeneratorPoint) -> "PhaseParams":
-        return cls(
-            phi=reduce_angle(0.5 * math.pi - g.phi1),
-            alpha=reduce_angle(g.phi3 + g.phi1 - math.pi),
-            beta=reduce_angle(g.phi2 + g.phi1 - math.pi),
-        )
-
-    def correlator(self, a: int, b: int) -> float:
-        """<A_a B_b> for this phase assignment."""
-        return math.cos(self.phi + a * self.alpha + b * self.beta)
+# |psi><psi| for |psi> = (H x I)|Phi+> = (|00> + |01> + |10> - |11>)/2
+_PAIR_STATE = 0.25 * np.outer((1, 1, 1, -1), (1, 1, 1, -1)).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,16 +110,8 @@ class Realization:
         for finiteness, Hermiticity and involution, with O^2 - I formed by
         subtracting 1 on the diagonal.  Only when a party's stack fails are
         its observables checked one by one, in the order A0, A1, B0, B1, to
-        name the first failed check.
-
-        The state is checked on its support S, the rows and columns holding
-        a nonzero entry.  Outside S x S every entry is zero, so finiteness
-        and Hermiticity hold there, and the matrix `eigvalsh` reads is
-        block-diag(state[S, S], 0) up to a permutation: its smallest
-        eigenvalue is that of state[S, S], or 0 when S leaves rows out.
-        The trace is taken on the whole state.  A mixture state has support
-        4 of 16 or 6 of 36.  A state with no zero on its diagonal has full
-        support, and is checked whole without looking for S.
+        name the first failed check.  The state is then checked for
+        finiteness, unit trace, Hermiticity and positivity, in that order.
         """
         parties = (
             (("A0", "A1"), (self.a0, self.a1)),
@@ -170,24 +142,17 @@ class Realization:
                     raise InvariantViolationError(
                         f"check '{check}' failed for {name}{detail}"
                     )
-        block = np.ascontiguousarray(self.state)  # for the float view below
-        if not np.diagonal(block).all():
-            # NaN compares unequal to 0, so a non-finite entry joins the support
-            nonzero = block != 0.0
-            support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-            block = block[support[:, None], support]
-        if not np.isfinite(block.view(float)).all():
+        state = np.ascontiguousarray(self.state)  # for the float view below
+        if not np.isfinite(state.view(float)).all():
             raise InvariantViolationError("check 'state-finite' failed")
-        trace_residual = abs(np.trace(self.state) - 1.0)
+        trace_residual = abs(np.trace(state) - 1.0)
         if trace_residual > _TRACE_TOLERANCE:
             raise InvariantViolationError(
                 f"check 'state-trace' failed: |tr - 1| = {trace_residual:.3e}"
             )
-        if np.abs(block - block.conj().T).max() > _HERMITIAN_TOLERANCE:
+        if np.abs(state - state.conj().T).max() > _HERMITIAN_TOLERANCE:
             raise InvariantViolationError("check 'state-hermitian' failed")
-        smallest = float(np.linalg.eigvalsh(block)[0])
-        if len(block) < joint:
-            smallest = min(smallest, 0.0)
+        smallest = float(np.linalg.eigvalsh(state)[0])
         if smallest < -_PSD_TOLERANCE:
             raise InvariantViolationError(
                 "check 'state-positive' failed: smallest eigenvalue "
@@ -267,38 +232,41 @@ def realize_generator(g: GeneratorPoint) -> Realization:
 
 
 def realize_mixture(decomposition: Decomposition) -> Realization:
-    """Block-diagonal realization of a generator mixture.
+    """Qubit-pair realization of the vector x a generator mixture
+    reconstructs.
 
-    Party dimension is 2 * (number of terms).  Term k's pair state, times
-    its weight, fills the entries <2k+a, 2k+a| rho |2k+b, 2k+b> for a, b in
-    {0, 1}, and its observables the 2x2 diagonal blocks at rows 2k, 2k+1.
+    Tsirelson's vectors come from Landau's condition.  Let I12 = [x1 x2 -
+    r12, x1 x2 + r12] with r12 = sqrt((1 - x1^2)(1 - x2^2)), the values of
+    v0 . v1 that unit vectors with u0 . v0 = x1 and u0 . v1 = x2 allow, and
+    I34 likewise from x3 and x4; the two meet exactly on Q.  With c the
+    midpoint of I12 & I34 & [-1, 1] and s = sqrt(1 - c^2),
+
+        v0 = (1, 0, 0),  v1 = (c, s, 0),
+        u0 = (x1, t0, sqrt(1 - x1^2 - t0^2)),  t0 = (x2 - x1 c) / s,
+
+    and u1 likewise from x3 and x4, with t = 0 when s = 0.  On the boundary
+    of Q rounding can push |t0| past sqrt(1 - x1^2) by about 1e-16 / s, so
+    t0 is clipped there, which keeps u0 a unit vector and moves u0 . v1 by
+    about 1e-16; the square root's argument is clipped at 0.
     """
-    count = len(decomposition.terms)
-    local = 2 * count
-    params = [PhaseParams.from_generator(g) for g in decomposition.generators]
-    # one column per term: the state phase, then the angles of A0, A1, B0, B1
-    angles = np.array([(p.phi, 0.0, p.alpha, 0.0, p.beta) for p in params]).T
-    ups, downs = np.exp(1j * angles), np.exp(-1j * angles)
-    psi = np.zeros((count, 4), dtype=complex)
-    psi[:, 0] = 1.0 / math.sqrt(2.0)
-    psi[:, 3] = psi[:, 0] * ups[0]
-    # the products np.outer(psi, psi.conj()) forms, zero entries included
-    pairs = np.array(decomposition.weights)[:, None, None] * (
-        psi[:, :, None] * psi[:, None, :].conj()
-    )
-    # state indexed as rho[i, j, k, l] = <i j| rho |k l>
-    state = np.zeros((local, local, local, local), dtype=complex)
-    for k in range(count):
-        rows = slice(2 * k, 2 * k + 2)
-        state[rows, rows, rows, rows] = pairs[k].reshape(2, 2, 2, 2)
-    # entry (2k, 2k + 1) of an observable is e^{i t_k}, (2k + 1, 2k) e^{-i t_k}
-    observables = np.zeros((4, local * local), dtype=complex)
-    observables[:, 1::2 * local + 2] = ups[1:]
-    observables[:, local::2 * local + 2] = downs[1:]
-    return Realization(
-        state.reshape(local * local, local * local),
-        *observables.reshape(4, local, local),
-    )
+    x1, x2, x3, x4 = decomposition.reconstruct().as_tuple()
+    r12 = math.sqrt((1.0 - x1 * x1) * (1.0 - x2 * x2))
+    r34 = math.sqrt((1.0 - x3 * x3) * (1.0 - x4 * x4))
+    low = max(x1 * x2 - r12, x3 * x4 - r34, -1.0)
+    high = min(x1 * x2 + r12, x3 * x4 + r34, 1.0)
+    c = 0.5 * (low + high)
+    s = math.sqrt(1.0 - c * c)
+    entries = []
+    for p, q in ((x1, x2), (x3, x4)):
+        bound = math.sqrt(1.0 - p * p)
+        t = min(bound, max(-bound, (q - p * c) / s)) if s else 0.0
+        w = math.sqrt(max(1.0 - p * p - t * t, 0.0))
+        # H (u . sigma) H = u1 Z - u2 Y + u3 X
+        entries.append(((p, complex(w, t)), (complex(w, -t), -p)))
+    # (v . sigma)^T = v1 X - v2 Y for v = e1 and (c, s, 0)
+    entries.append(((0.0, 1.0), (1.0, 0.0)))
+    entries.append(((0.0, complex(c, s)), (complex(c, -s), 0.0)))
+    return Realization(_PAIR_STATE.copy(), *np.array(entries, dtype=complex))
 
 
 def expectation(

@@ -9,6 +9,7 @@ import pytest
 from corrset import cli, membership
 from corrset.cli import main
 from corrset.corrvec import CanonicalForm, CorrelationVector
+from corrset.geometry import decompose
 
 T = "0.7071067811865476"
 
@@ -140,7 +141,8 @@ def test_realize_verify_round_trip(capsys, tmp_path):
     assert code == 0
     assert out == ""
     stored = json.loads(target.read_text())
-    assert stored["dims"] == [6, 6]
+    assert set(stored) == {"state", "A0", "A1", "B0", "B1", "dims", "verified_residual"}
+    assert stored["dims"] == [2, 2]
     assert stored["verified_residual"] < 1e-8
 
     code, out, _ = run(capsys, "verify", str(target))
@@ -150,6 +152,24 @@ def test_realize_verify_round_trip(capsys, tmp_path):
     assert np.abs(
         np.array(data["vector"]) - np.array([0.5, 0, 0, 0])
     ).max() <= 1e-9
+
+
+def test_verify_reads_a_stored_block_diagonal_realization(
+    capsys, tmp_path, block_diagonal_realization
+):
+    # a 6x6-per-party file in the block-diagonal layout, three terms
+    x = CorrelationVector(0.5, 0.0, 0.0, 0.0)
+    realization = block_diagonal_realization(decompose(x))
+    assert realization.dims == (6, 6)
+    stored = realization.to_json_dict()
+    stored["verified_residual"] = 0.0
+    target = tmp_path / "realization.json"
+    target.write_text(json.dumps(stored))
+    code, out, _ = run(capsys, "verify", str(target))
+    data = json.loads(out)
+    assert code == 0
+    assert data["report"]["in_Q"] is True
+    assert np.abs(np.array(data["vector"]) - np.array(x.as_tuple())).max() <= 1e-12
 
 
 def test_realize_csv_unsupported(capsys):

@@ -8,15 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from corrset.corrvec import CorrelationVector
+from corrset.checks import deterministic_strategy_vectors
+from corrset.corrvec import CorrelationVector, full_symmetry_group
 from corrset.errors import DimensionError, DomainError, InvariantViolationError
-from corrset.geometry import Decomposition, GeneratorPoint, decompose
+from corrset.geometry import Decomposition, GeneratorPoint, decompose, face_segment
 from corrset.membership import chsh_combinations, quantum_margins
 from corrset.quantum import (
     _SAMPLE_BLOCK,
     _sample_draws,
-    PhaseParams,
     Realization,
     expectation,
     realize_generator,
@@ -33,28 +35,25 @@ def max_component_gap(x: CorrelationVector, y: CorrelationVector) -> float:
     return max(abs(a - b) for a, b in zip(x.as_tuple(), y.as_tuple()))
 
 
-def test_phase_params_frozen_points():
-    p = PhaseParams.from_generator(GeneratorPoint(HALF_PI, 0.0, 0.0))
-    assert (p.phi, p.alpha, p.beta) == pytest.approx(
-        (0.0, -HALF_PI, -HALF_PI), abs=1e-15
-    )
-    values = [p.correlator(a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    assert values == pytest.approx([1, 0, 0, -1], abs=1e-15)
+def test_block_diagonal_layout_frozen_points(block_diagonal_realization):
+    # G(pi/2, 0, 0) is the zero-phase pair with alpha = beta = -pi/2, and
+    # G(pi/2, pi/2, pi/2) the all-ones vector with every phase 0
+    for angles, want in (
+        ((HALF_PI, 0.0, 0.0), (1, 0, 0, -1)),
+        ((HALF_PI, HALF_PI, HALF_PI), (1, 1, 1, 1)),
+    ):
+        d = Decomposition(((1.0, GeneratorPoint(*angles)),))
+        r = block_diagonal_realization(d)
+        assert r.dims == (2, 2)
+        assert expectation(r).as_tuple() == pytest.approx(want, abs=1e-15)
 
-    # all-ones vector comes from the zero-phase assignment
-    p = PhaseParams.from_generator(GeneratorPoint(HALF_PI, HALF_PI, HALF_PI))
-    assert (p.phi, p.alpha, p.beta) == pytest.approx((0, 0, 0), abs=1e-15)
-    assert p.correlator(1, 1) == 1.0
 
-
-def test_phase_params_match_generator():
+def test_block_diagonal_layout_matches_generator(block_diagonal_realization):
     rng = np.random.default_rng(1)
     for _ in range(500):
         g = GeneratorPoint(*rng.uniform(-math.pi, math.pi, size=3))
-        p = PhaseParams.from_generator(g)
-        want = g.evaluate().as_tuple()
-        got = [p.correlator(a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
-        assert np.abs(np.array(got) - want).max() <= 1e-12
+        r = block_diagonal_realization(Decomposition(((1.0, g),)))
+        assert max_component_gap(expectation(r), g.evaluate()) <= 1e-12
 
 
 def test_realize_generator_fidelity():
@@ -77,16 +76,19 @@ def test_realize_generator_tsirelson():
     )
 
 
-def test_realize_mixture_dims_scale_with_terms():
+def test_realize_mixture_is_two_by_two_for_any_term_count():
     g1 = GeneratorPoint(HALF_PI, 0.0, 0.0)
     g2 = GeneratorPoint(0.3, -0.2, 0.9)
     g3 = GeneratorPoint(-1.0, 0.4, 0.1)
-    two = realize_mixture(Decomposition(((0.5, g1), (0.5, g2))))
-    assert two.dims == (4, 4)
-    three = realize_mixture(Decomposition(((0.2, g1), (0.3, g2), (0.5, g3))))
-    assert three.dims == (6, 6)
-    single = realize_mixture(Decomposition(((1.0, g2),)))
-    assert single.dims == (2, 2)
+    for terms in (
+        ((1.0, g2),),
+        ((0.5, g1), (0.5, g2)),
+        ((0.2, g1), (0.3, g2), (0.5, g3)),
+    ):
+        r = realize_mixture(Decomposition(terms))
+        assert r.dims == (2, 2)
+        assert r.state.shape == (4, 4)
+        assert np.diagonal(r.state).all()
 
 
 def test_realize_mixture_reproduces_mixture():
@@ -105,8 +107,9 @@ def test_realize_mixture_reproduces_mixture():
 
 def test_decompose_realize_round_trip():
     x = CorrelationVector(0.5, 0.0, 0.0, 0.0)
+    assert len(decompose(x).terms) == 3
     r = realize_mixture(decompose(x))
-    assert r.dims == (6, 6)
+    assert r.dims == (2, 2)
     assert max_component_gap(expectation(r), x) <= 1e-12
 
 
@@ -136,10 +139,11 @@ def test_expectation_validates_state():
         )
 
 
-def test_positivity_check_at_joint_dimension_36():
+def test_positivity_check_at_joint_dimension_36(block_diagonal_realization):
     gs = [GeneratorPoint(0.3, -0.2, 0.9), GeneratorPoint(-1.0, 0.4, 0.1),
           GeneratorPoint(HALF_PI, 0.0, 0.0)]
-    r = realize_mixture(Decomposition(tuple(zip((0.2, 0.3, 0.5), gs))))
+    d = Decomposition(tuple(zip((0.2, 0.3, 0.5), gs)))
+    r = block_diagonal_realization(d)
     assert r.state.shape == (36, 36)
     r.validate()
     # move 1e-8 of weight from the top eigenvector onto a null vector with
@@ -202,9 +206,9 @@ def test_observable_checks_name_the_observable(name, corrupt, check):
 
 
 def test_positivity_check_reads_off_diagonal_support():
-    # row 2 has a zero diagonal entry but a nonzero off-diagonal one, so the
-    # support is not the nonzero diagonal; the [[0.5, 0.1], [0.1, 0]] block
-    # has eigenvalue 0.25 - sqrt(0.0725) = -1.926e-2
+    # row 2 has a zero diagonal entry but a nonzero off-diagonal one; the
+    # [[0.5, 0.1], [0.1, 0]] block has eigenvalue 0.25 - sqrt(0.0725) =
+    # -1.926e-2
     r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
     state = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     state[0, 2] = state[2, 0] = 0.1
@@ -237,14 +241,16 @@ def test_positivity_check_on_full_support():
     ],
 )
 def test_state_checks_with_and_without_a_zero_diagonal(
-    full_diagonal, entry, value, check
+    full_diagonal, entry, value, check, block_diagonal_realization
 ):
-    # a pair state has zeros on its diagonal and is checked on its support;
-    # a mixture with the maximally mixed state has none and is checked whole
-    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
-    state = r.state.copy()
+    # a block-diagonal pair state has zeros on its diagonal; the qubit-pair
+    # state realize_generator builds has none
+    g = GeneratorPoint(0.2, 0.4, -0.1)
     if full_diagonal:
-        state = 0.5 * state + 0.125 * np.eye(4)
+        r = realize_generator(g)
+    else:
+        r = block_diagonal_realization(Decomposition(((1.0, g),)))
+    state = r.state.copy()
     assert np.diagonal(state).all() == full_diagonal
     Realization(state, r.a0, r.a1, r.b0, r.b1).validate()
     state[entry] = value
@@ -259,9 +265,6 @@ def test_validate_accepts_non_contiguous_arrays():
     # its observable
     r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
     Realization(r.state.T, r.a0, r.a1.T, r.b0, r.b1).validate()
-    # with no zero on its diagonal the state is checked whole
-    mixed = 0.5 * r.state + 0.125 * np.eye(4)
-    Realization(mixed.T, r.a0, r.a1, r.b0, r.b1).validate()
     broken = Realization(r.state.T, r.a0, 1.5 * r.a1.T, r.b0, r.b1)
     with pytest.raises(
         InvariantViolationError, match=r"^check 'observable-involution' failed for A1"
@@ -284,41 +287,172 @@ def test_validate_requires_one_observable_shape_per_party(name):
         expectation(broken)
 
 
-def _realize_term_by_term(decomposition: Decomposition) -> Realization:
-    """Mixture realization written one term at a time from np.outer and
-    per-entry phase factors, as a reference for the batched construction."""
-    count = len(decomposition.terms)
-    local = 2 * count
-    matrices = [np.zeros((local, local), dtype=complex) for _ in range(4)]
-    state = np.zeros((local,) * 4, dtype=complex)
-    for k, (weight, g) in enumerate(decomposition.terms):
-        p = PhaseParams.from_generator(g)
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0 / math.sqrt(2.0)
-        psi[3] = psi[0] * np.exp(1j * p.phi)
-        rows = slice(2 * k, 2 * k + 2)
-        pair = weight * np.outer(psi, psi.conj())
-        state[rows, rows, rows, rows] = pair.reshape(2, 2, 2, 2)
-        for matrix, theta in zip(matrices, (0.0, p.alpha, 0.0, p.beta)):
-            matrix[rows, rows] = np.array(
-                [[0.0, np.exp(1j * theta)], [np.exp(-1j * theta), 0.0]]
-            )
-    return Realization(state.reshape(local * local, -1), *matrices)
-
-
-def test_realize_mixture_is_bitwise_the_term_by_term_construction():
+def test_realize_mixture_agrees_with_the_block_diagonal_layout(
+    block_diagonal_realization,
+):
     rng = np.random.default_rng(41)
     for _ in range(300):
         count = int(rng.integers(1, 4))
         gs = [GeneratorPoint(*rng.uniform(-math.pi, math.pi, size=3)) for _ in range(count)]
         w = rng.dirichlet(np.ones(count))
         d = Decomposition(tuple(zip(w.tolist(), gs)))
-        got, want = realize_mixture(d), _realize_term_by_term(d)
-        for a, b in zip(
-            (got.state, got.a0, got.a1, got.b0, got.b1),
-            (want.state, want.a0, want.a1, want.b0, want.b1),
-        ):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        got, old = realize_mixture(d), block_diagonal_realization(d)
+        assert got.dims == (2, 2) and old.dims == (2 * count, 2 * count)
+        assert max_component_gap(expectation(got), expectation(old)) <= 1e-12
+
+
+def _landau_slack(x) -> float:
+    """Landau's condition |x1 x2 - x3 x4| <= sqrt((1 - x1^2)(1 - x2^2)) +
+    sqrt((1 - x3^2)(1 - x4^2)) as right side minus left side, nonnegative
+    exactly on the quantum set."""
+    x1, x2, x3, x4 = x
+    return (
+        math.sqrt((1.0 - x1 * x1) * (1.0 - x2 * x2))
+        + math.sqrt((1.0 - x3 * x3) * (1.0 - x4 * x4))
+        - abs(x1 * x2 - x3 * x4)
+    )
+
+
+def _realization_residual(x) -> float:
+    """Largest gap between the correlators of realize_mixture(decompose(x))
+    and the vector its decomposition reconstructs.  Every observable must
+    square to the identity within rounding, far inside validate's 1e-12."""
+    d = decompose(CorrelationVector(*x))
+    r = realize_mixture(d)
+    assert r.dims == (2, 2)
+    for obs in (r.a0, r.a1, r.b0, r.b1):
+        assert np.abs(obs @ obs - np.eye(2)).max() <= 1e-15
+    return max_component_gap(expectation(r), d.reconstruct())
+
+
+def _uniform_members():
+    rng = np.random.default_rng(51)
+    xs = rng.uniform(-1.0, 1.0, size=(3000, 4)).tolist()
+    return [x for x in xs if _landau_slack(x) > 0]
+
+
+def _curved_boundary_images():
+    # sin of t1 >= t2 >= t3 in [0, pi/2] and t4 = t1 + t2 + t3 - pi with
+    # |t4| <= t3, so the arcsine sum is pi; each with three random images
+    rng = np.random.default_rng(52)
+    group = full_symmetry_group()
+    rows = []
+    while len(rows) < 2000:
+        t1, t2, t3 = sorted(rng.uniform(0.0, HALF_PI, size=3), reverse=True)
+        t4 = t1 + t2 + t3 - math.pi
+        if abs(t4) <= t3:
+            x = CorrelationVector(*(math.sin(t) for t in (t1, t2, t3, t4)))
+            ops = [group[k] for k in rng.integers(0, len(group), size=3)]
+            rows += [x.as_tuple()] + [op.apply(x).as_tuple() for op in ops]
+    return rows
+
+
+def _face_points():
+    # x1 = 1, with x4 at both ends of the face segment and inside it
+    rng = np.random.default_rng(53)
+    rows = []
+    for x2, x3 in rng.uniform(-1.0, 1.0, size=(1000, 2)).tolist():
+        low, high = face_segment(x2, x3)
+        rows += [(1.0, x2, x3, x4) for x4 in (low, high, rng.uniform(low, high))]
+    return rows
+
+
+def _tied_pairs():
+    # (a, a, b, b) meets Landau's condition for every a, b in [-1, 1]
+    rng = np.random.default_rng(54)
+    pairs = rng.uniform(-1.0, 1.0, size=(2000, 2)).tolist()
+    pairs += [[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, -0.5, 0.0, 1.0)]
+    return [(a, a, b, b) for a, b in pairs]
+
+
+def _deterministic_vertices():
+    return sorted({tuple(row) for row in deterministic_strategy_vectors().tolist()})
+
+
+def _corner_hugging_members():
+    """The construct benchmark's 16 corner-hugging members: rays leaving the
+    curved boundary within 1e-8..1e-6 of the face x1 = 1, scaled inward
+    and moved by a signed permutation with an even number of flips."""
+    rng = np.random.default_rng(20031)
+    rows = []
+    while len(rows) < 16:
+        excess = math.exp(rng.uniform(*np.log((1e-8, 1e-6))))
+        t2, t3 = sorted(rng.uniform(0.0, 0.5 * np.pi, size=2), reverse=True)
+        t4 = t2 + t3 - 0.5 * np.pi - excess
+        if abs(t4) > t3:
+            continue
+        face_point = np.array([1.0, math.sin(t2), math.sin(t3), math.sin(t4)])
+        rows.append(rng.uniform(0.3, 0.95) * face_point)
+    masks = [m for m in itertools.product((1.0, -1.0), repeat=4) if np.prod(m) > 0]
+    group = []
+    for perm in itertools.permutations(range(4)):
+        for mask in masks:
+            m = np.zeros((4, 4))
+            m[range(4), perm] = mask
+            group.append(m)
+    ops = np.array(group)[rng.integers(0, len(group), size=len(rows))]
+    return np.einsum("nij,nj->ni", ops, np.array(rows)).tolist()
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        _uniform_members,
+        _curved_boundary_images,
+        _face_points,
+        _tied_pairs,
+        _deterministic_vertices,
+        _corner_hugging_members,
+    ],
+    ids=lambda corpus: corpus.__name__.strip("_"),
+)
+def test_realization_residual(corpus):
+    assert max(map(_realization_residual, corpus())) <= 1e-12
+
+
+def test_realization_on_the_boundary_keeps_unit_vectors():
+    # a curved-boundary point: I12 and I34 touch, c sits at both ends within
+    # rounding and s = 0.016; the unclipped t1 = (x4 - x3 c) / s would give
+    # |u1|^2 = 1 + 1.15e-12, and A1 would fail validate's involution check
+    x = (0.999880764592967, 0.9999997949478382, 0.45825006932480267, 0.44389643279505414)
+    assert abs(_landau_slack(x)) <= 1e-14
+    assert _realization_residual(x) <= 1e-12
+
+
+@pytest.mark.parametrize("x1, x3", [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+@pytest.mark.parametrize("x2", [-1.0, -0.6, 0.0, 0.6, 1.0])
+def test_realization_at_the_interval_edge(x1, x2, x3):
+    # |x1| = |x3| = 1 pins v0 . v1 to x1 x2 = x3 x4, which is +-1, and so
+    # s = 0, when |x2| = 1
+    x = (x1, x2, x3, x1 * x3 * x2)
+    assert _landau_slack(x) == 0.0
+    assert _realization_residual(x) <= 1e-12
+    r = realize_mixture(decompose(CorrelationVector(*x)))
+    if abs(x2) == 1.0:
+        assert np.array_equal(r.b1, x1 * x2 * r.b0)
+
+
+angles = st.floats(min_value=-math.pi, max_value=math.pi)
+weighted_generators = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(GeneratorPoint, angles, angles, angles),
+)
+
+
+@given(st.lists(weighted_generators, min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_realization_reproduces_every_mixture(terms):
+    # Q is the set of these mixtures; rounding can put their vectors
+    # outside Landau's condition by 1e-12 near the box corners, so the
+    # property draws mixtures, not box points filtered by the slack
+    total = math.fsum(w for w, _ in terms)
+    assume(total > 0.0)
+    d = Decomposition(tuple((w / total, g) for w, g in terms))
+    r = realize_mixture(d)
+    assert r.dims == (2, 2)
+    for obs in (r.a0, r.a1, r.b0, r.b1):
+        assert np.abs(obs @ obs - np.eye(2)).max() <= 1e-15
+    assert max_component_gap(expectation(r), d.reconstruct()) <= 1e-12
 
 
 def test_expectation_real_check_names_the_correlator():
