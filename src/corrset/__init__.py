@@ -11,13 +11,9 @@ grid scans to verify its own claims.  See README.md for a tour.
 from .checks import (
     ScanResult,
     angle_sum_max_scan,
-    classical_vertices,
-    classical_weights,
-    curvature_expression,
     curvature_positivity_scan,
     deterministic_strategy_vectors,
     ghz_contradiction,
-    lvt_oracle,
     lvt_oracle_batch,
 )
 from .corrvec import (
@@ -27,8 +23,6 @@ from .corrvec import (
     SymmetryOp,
     canonicalize,
     full_symmetry_group,
-    is_s_ordered,
-    vectors_to_array,
 )
 from .errors import (
     CorrSetError,
@@ -38,7 +32,6 @@ from .errors import (
     InvariantViolationError,
     NonFiniteInputError,
     NotInQuantumSetError,
-    NotSOrderedError,
     OutOfBoxError,
     PreconditionError,
 )
@@ -46,9 +39,7 @@ from .geometry import (
     Decomposition,
     GeneratorPoint,
     angle_transport,
-    arcsine_sum,
     decompose,
-    face_decompose,
     generator_values,
     reduce_angle,
 )
@@ -62,18 +53,14 @@ from .membership import (
     chsh_max,
     classical_margins,
     evaluate,
-    in_classical,
-    in_quantum,
     mu,
     mu_array,
     mu_inverse,
-    mu_inverse_array,
     quantum_margins,
 )
 from .quantum import (
     Realization,
     expectation,
-    realize_generator,
     realize_mixture,
     sample_correlations,
     sample_quantum,
@@ -96,7 +83,6 @@ __all__ = [
     "MembershipReport",
     "NonFiniteInputError",
     "NotInQuantumSetError",
-    "NotSOrderedError",
     "OutOfBoxError",
     "PreconditionError",
     "QUANTUM_BOUND",
@@ -107,37 +93,25 @@ __all__ = [
     "angle_sum_max_scan",
     "angle_transport",
     "arcsine_combinations",
-    "arcsine_sum",
     "canonicalize",
     "chsh_combinations",
     "chsh_max",
     "classical_margins",
-    "classical_vertices",
-    "classical_weights",
-    "curvature_expression",
     "curvature_positivity_scan",
     "decompose",
     "deterministic_strategy_vectors",
     "evaluate",
     "expectation",
-    "face_decompose",
     "full_symmetry_group",
     "generator_values",
     "ghz_contradiction",
-    "in_classical",
-    "in_quantum",
-    "is_s_ordered",
-    "lvt_oracle",
     "lvt_oracle_batch",
     "mu",
     "mu_array",
     "mu_inverse",
-    "mu_inverse_array",
     "quantum_margins",
-    "realize_generator",
     "realize_mixture",
     "reduce_angle",
     "sample_correlations",
     "sample_quantum",
-    "vectors_to_array",
 ]

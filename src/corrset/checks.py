@@ -3,14 +3,13 @@
 Nothing here reuses the decision logic of `membership` or `geometry`; the
 point of this module is redundancy.  It provides:
 
-* `lvt_oracle` - classical-set membership decided from the vertex
+* `lvt_oracle_batch` - classical-set membership decided from the vertex
   description of the polytope instead of its facet inequalities.  The 16
   deterministic strategies collapse to 8 distinct vertices which split into
   plus/minus pairs of four mutually orthogonal vectors, so barycentric
-  coordinates (and hence explicit convex weights) come from a closed-form
-  orthogonal expansion; feasibility is the l1 condition on those
-  coordinates.  A facet evaluation runs alongside and the two paths are
-  cross-checked on every call.
+  coordinates come from a closed-form orthogonal expansion; feasibility is
+  the l1 condition on those coordinates.  A facet evaluation runs alongside
+  and the two paths are cross-checked on every call.
 
 * `curvature_positivity_scan` - verifies on a grid that the curvature
   expression controlling convexity of the curved boundary surface is
@@ -64,16 +63,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import membership
-from .corrvec import DEFAULT_TOLERANCE, CorrelationVector
-from .errors import DomainError, InternalCheckError, PreconditionError
+from .corrvec import DEFAULT_TOLERANCE
+from .errors import DomainError, InternalCheckError
 
 _PATH_AGREEMENT_TOLERANCE = 1e-9
-_RECONSTRUCTION_TOLERANCE = 1e-12
 
 CURVATURE_THRESHOLD = -1e-9
 ANGLE_SUM_THRESHOLD = 1e-9
@@ -109,41 +108,6 @@ def deterministic_strategy_vectors() -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def classical_vertices() -> np.ndarray:
-    """The 8 distinct vertices of the classical polytope, shape (8, 4)."""
-    return np.concatenate([_VERTEX_BASIS, -_VERTEX_BASIS], axis=0)
-
-
-def classical_weights(
-    x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit convex weights over the 8 vertices reproducing x.
-
-    Returns (weights, vertices) with weights >= 0 summing to 1 and
-    weights @ vertices == x; raises PreconditionError when x lies outside
-    the classical polytope and no such weights exist.
-    """
-    coords = x.as_array() @ _VERTEX_BASIS.T / 4.0
-    slack = 1.0 - float(np.abs(coords).sum())
-    if slack < -0.5 * tolerance:
-        raise PreconditionError(
-            f"{x.as_tuple()!r} is outside the classical polytope"
-        )
-    vertices = classical_vertices()
-    weights = np.zeros(8)
-    for i, u in enumerate(coords):
-        if u >= 0.0:
-            weights[i] = u
-        else:
-            weights[4 + i] = -u
-    # distribute any slack over the +-v1 pair, which sums to zero
-    half = 0.5 * max(slack, 0.0)
-    weights[0] += half
-    weights[4] += half
-    weights /= weights.sum()
-    return weights, vertices
-
-
 def lvt_oracle_batch(
     xs: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> np.ndarray:
@@ -168,24 +132,6 @@ def lvt_oracle_batch(
             f"vertex and facet oracle paths disagree by {disagreement:.3e}"
         )
     return vertex_value <= 1.0 + 0.5 * tolerance
-
-
-def lvt_oracle(x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Classical-set membership by explicit vertex decomposition.
-
-    When feasible, also rebuilds x from the constructed convex weights and
-    confirms the reconstruction to 1e-12, keeping the oracle honest.
-    """
-    verdict = bool(lvt_oracle_batch(x.as_array(), tolerance)[()])
-    if verdict:
-        weights, vertices = classical_weights(x, tolerance)
-        residual = float(np.abs(weights @ vertices - x.as_array()).max())
-        if residual > max(_RECONSTRUCTION_TOLERANCE, tolerance):
-            raise InternalCheckError(
-                f"vertex reconstruction residual {residual:.3e} for "
-                f"{x.as_tuple()!r}"
-            )
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -215,43 +161,6 @@ class ScanResult:
             "argmin": list(self.argmin),
             "violations": self.violations,
         }
-
-
-def curvature_expression(g1: float, g2: float, g3: float) -> float:
-    """Curvature value at one point of the boundary chart.
-
-    Positive on the admissible domain (|g_i| < pi/2, sum in (pi/2, 3pi/2)),
-    which is what makes the curved boundary bulge outward and the set
-    convex.
-    """
-    first = (
-        math.sin(g1) / math.cos(g1) ** 5
-        + math.sin(g2) / math.cos(g2) ** 5
-        + math.sin(g3) / math.cos(g3) ** 5
-    )
-    weights = (
-        1.0 / math.cos(g1) ** 2
-        + 1.0 / math.cos(g2) ** 2
-        + 1.0 / math.cos(g3) ** 2
-    )
-    return first - math.tan(g1 + g2 + g3) * weights**2
-
-
-def folded_arcsine(value: float | np.ndarray) -> float | np.ndarray:
-    """asin(sin(x)): the 2*pi-periodic fold of the identity onto
-    [-pi/2, pi/2]."""
-    return np.arcsin(np.sin(value))
-
-
-def angle_sum_value(nu1: float, nu2: float, nu3: float) -> float:
-    """Folded arcsine sum with nu4 closed by the constraint nu4 = nu1+nu2+nu3."""
-    total = (
-        folded_arcsine(nu1)
-        + folded_arcsine(nu2)
-        + folded_arcsine(nu3)
-        + folded_arcsine(nu1 + nu2 + nu3)
-    )
-    return float(total)
 
 
 def _grid_axis(limit: float, step: float) -> np.ndarray:
@@ -364,7 +273,9 @@ def curvature_positivity_scan(
 ) -> ScanResult:
     """Scan the curvature expression over its admissible grid.
 
-    The grid covers |g_i| <= pi/2 - margin restricted to
+    The expression is sum_i sin g_i / cos^5 g_i minus
+    tan(g1 + g2 + g3) (sum_i 1 / cos^2 g_i)^2; its positivity makes the
+    curved boundary bulge outward and the set convex.  The grid covers |g_i| <= pi/2 - margin restricted to
     g1 + g2 + g3 in [pi/2 + margin, 3pi/2 - margin].  Passing means
     min_value >= threshold (violations == 0).
     """
@@ -448,13 +359,16 @@ def _chunk_ranges(costs: np.ndarray, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(func, args: list, workers: int) -> list:
-    """func over args, in order; in a pool of `workers` processes when
-    there is more than one chunk.  func must be picklable by name."""
+    """func over args, in order; in a pool of processes when there is more
+    than one chunk.  The pool holds no more processes than `workers`, the
+    chunks or the host's CPUs, since a fork pool starts all of them at
+    once.  func must be picklable by name."""
     if len(args) <= 1:
         return [func(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = min(workers, len(args), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(func, args))
 
 

@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for sampling and scans",
+        help="worker processes for sampling and scans (at least 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -587,6 +587,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.parallel < 1:
+            raise DomainError(f"--parallel must be at least 1, got {args.parallel}")
         return args.func(args)
     except NotInQuantumSetError as exc:
         print(f"outside Q: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,10 +142,6 @@ class SymmetryOp:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
 
-    @classmethod
-    def identity(cls) -> "SymmetryOp":
-        return cls((0, 1, 2, 3), (1, 1, 1, 1))
-
     @property
     def is_identity(self) -> bool:
         return self.perm == (0, 1, 2, 3) and self.signs == (1, 1, 1, 1)
@@ -237,16 +233,6 @@ def _group_element(
     return _unchecked(SymmetryOp, {"perm": perm, "signs": signs})
 
 
-def is_s_ordered(x: CorrelationVector, slack: float = 0.0) -> bool:
-    """Whether x1 >= x2 >= x3 >= |x4| holds, up to `slack`."""
-    t = x.as_tuple()
-    return (
-        t[0] >= t[1] - slack
-        and t[1] >= t[2] - slack
-        and t[2] >= abs(t[3]) - slack
-    )
-
-
 def canonicalize(x: CorrelationVector) -> CanonicalForm:
     """Deterministic canonical representative under the 192-op group.
 
@@ -284,8 +270,3 @@ def full_symmetry_group() -> tuple[SymmetryOp, ...]:
         for p in itertools.permutations(range(4))
         for s in masks
     )
-
-
-def vectors_to_array(vectors: Iterable[CorrelationVector]) -> np.ndarray:
-    """Stack correlation vectors into an (n, 4) float array."""
-    return np.array([v.as_tuple() for v in vectors], dtype=float)

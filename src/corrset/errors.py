@@ -20,10 +20,6 @@ class OutOfBoxError(CorrSetError, ValueError):
     """A component lies outside [-1, 1] beyond the validation tolerance."""
 
 
-class NotSOrderedError(CorrSetError, ValueError):
-    """An operation requiring x1 >= x2 >= x3 >= |x4| received unsorted input."""
-
-
 class PreconditionError(CorrSetError, ValueError):
     """A documented precondition other than ordering was violated."""
 

@@ -10,12 +10,12 @@ member of the quantum set as a convex combination of at most three such
 generators.  The algorithm:
 
 1. Canonicalize, so the working vector y satisfies y1 >= y2 >= y3 >= |y4|.
-   In canonical position membership reduces to the single functional
+   In canonical position membership reduces to the single inequality
 
-       arcsine_sum(y) = asin y1 + asin y2 + asin y3 - asin y4 <= pi.
+       asin y1 + asin y2 + asin y3 - asin y4 <= pi.
 
-2. Walk the ray t -> t*y outward from the origin.  arcsine_sum(t*y) is
-   nondecreasing in t for s-ordered y, so the ray leaves the set either
+2. Walk the ray t -> t*y outward from the origin.  The arcsine sum at t*y
+   is nondecreasing in t for s-ordered y, so the ray leaves the set either
    through the face y1 = 1 of the box (split the face point z = y/y1
    between the two generators that pin its fourth coordinate from below
    and above) or through the curved arcsine boundary.  The curved crossing
@@ -52,17 +52,10 @@ from .corrvec import (
     CorrelationVector,
     SymmetryOp,
     canonicalize,
-    is_s_ordered,
 )
-from .errors import (
-    InternalCheckError,
-    NotInQuantumSetError,
-    NotSOrderedError,
-    PreconditionError,
-)
+from .errors import InternalCheckError, NotInQuantumSetError, PreconditionError
 
 _TWO_PI = 2.0 * math.pi
-_S_ORDER_SLACK = 1e-12
 _RECONSTRUCTION_TOLERANCE = 1e-9
 _WEIGHT_SUM_TOLERANCE = 1e-12
 
@@ -99,9 +92,6 @@ class GeneratorPoint:
         """The zero generator G(0,0,0), evaluating to the origin."""
         return cls(0.0, 0.0, 0.0)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.phi1, self.phi2, self.phi3)
-
     def evaluate(self) -> CorrelationVector:
         """The correlation vector this generator produces."""
         return CorrelationVector(*self._components())
@@ -120,7 +110,7 @@ class Decomposition:
     """Convex combination of at most three generators.
 
     Weights are in [0, 1] and sum to 1 within 1e-12.  Zero-weight terms are
-    never stored; `decompose` and `face_decompose` drop them on the fly.
+    never stored; `decompose` drops them on the fly.
     """
 
     terms: tuple[tuple[float, GeneratorPoint], ...]
@@ -143,10 +133,6 @@ class Decomposition:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.terms)
 
-    @property
-    def generators(self) -> tuple[GeneratorPoint, ...]:
-        return tuple(g for _, g in self.terms)
-
     def reconstruct(self) -> CorrelationVector:
         """Weighted sum of the evaluated generators."""
         acc = [0.0, 0.0, 0.0, 0.0]
@@ -162,14 +148,6 @@ class Decomposition:
             for w, g in self.terms
         ]
 
-    @classmethod
-    def from_json_list(cls, data: list[dict]) -> "Decomposition":
-        terms = tuple(
-            (float(item["weight"]), GeneratorPoint(*item["phi"]))
-            for item in data
-        )
-        return cls(terms)
-
 
 def generator_values(phis: np.ndarray) -> np.ndarray:
     """Vectorized generator evaluation; input (..., 3), output (..., 4)."""
@@ -181,19 +159,6 @@ def generator_values(phis: np.ndarray) -> np.ndarray:
 
 def _arcsine_sum(t: tuple[float, float, float, float]) -> float:
     return math.asin(t[0]) + math.asin(t[1]) + math.asin(t[2]) - math.asin(t[3])
-
-
-def arcsine_sum(x: CorrelationVector) -> float:
-    """The canonical membership functional asin x1 + asin x2 + asin x3 - asin x4.
-
-    Only meaningful for s-ordered input, where it is the unique binding
-    combination; anything else raises NotSOrderedError.
-    """
-    if not is_s_ordered(x, slack=_S_ORDER_SLACK):
-        raise NotSOrderedError(
-            f"{x.as_tuple()!r} does not satisfy x1 >= x2 >= x3 >= |x4|"
-        )
-    return _arcsine_sum(x.as_tuple())
 
 
 def face_segment(x2: float, x3: float) -> tuple[float, float]:
@@ -215,37 +180,19 @@ def face_segment(x2: float, x3: float) -> tuple[float, float]:
     return (-math.cos(theta2 + theta3), math.cos(theta2 - theta3))
 
 
-def face_decompose(
-    x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE
-) -> Decomposition:
-    """Split a point of the face x1 = 1 between two extremal generators.
-
-    The quantum set meets the line over (1, x2, x3) in the segment
-    `face_segment(x2, x3)`, whose endpoints are generated by
-    G(pi/2, theta2, theta3) and G(pi/2, theta2, pi - theta3) with
-    theta_i = asin x_i.  The input's fourth coordinate picks the mixing
-    weight.  Degenerate segments (endpoints closer than 1e-9, the
-    reconstruction bound) give a single term of weight 1; `tolerance`
-    only admits the input, which must be s-ordered, with x1 = 1 and an
-    arcsine sum at most pi within `tolerance`.
-    """
-    value = arcsine_sum(x)  # raises NotSOrderedError first
-    t = x.as_tuple()
-    if abs(t[0] - 1.0) > tolerance:
-        raise PreconditionError(
-            f"face decomposition needs x1 = 1 within tolerance, got {t[0]!r}"
-        )
-    if value > math.pi + tolerance:
-        raise NotInQuantumSetError(
-            f"point outside the quantum set: arcsine sum {value!r} > pi"
-        )
-    return Decomposition(_face_terms(t))
-
-
 def _face_terms(
     z: tuple[float, float, float, float]
 ) -> tuple[tuple[float, GeneratorPoint], ...]:
-    """The terms of `face_decompose` for an admitted face point z."""
+    """Split the face point z = (1, z2, z3, z4), s-ordered and in the
+    quantum set, between two extremal generators.
+
+    The quantum set meets the line over (1, z2, z3) in the segment
+    `face_segment(z2, z3)`, whose endpoints are generated by
+    G(pi/2, theta2, theta3) and G(pi/2, theta2, pi - theta3) with
+    theta_i = asin z_i.  The fourth coordinate z4 picks the mixing weight.
+    A degenerate segment (endpoints closer than 1e-9, the reconstruction
+    bound) gives a single term of weight 1.
+    """
     theta2 = math.asin(z[1])
     theta3 = math.asin(z[2])
     low, high = face_segment(z[1], z[2])
@@ -313,7 +260,10 @@ def _boundary_angle(z: tuple[float, float, float, float]) -> float:
         g(theta) = theta + asin(z2 s) + asin(z3 s) - asin(z4 s) - pi,
         s = sin theta.
 
-    The caller guarantees g(pi/2) > 0.  Since |z_i| <= 1, each term
+    The caller guarantees that the arcsine sum at z exceeds pi.  Where it
+    does so by a few ulps, this function's own g(pi/2) can still read <= 0;
+    the search then returns pi/2, or an angle a few ulps below it at which
+    g's rounding reads nonnegative.  Since |z_i| <= 1, each term
     asin(z_i sin theta) has slope at most 1 in theta, and the s-order
     z3 >= |z4| keeps the z4 term from outweighing the z3 term: g increases
     with slope between 1 and 4.  No term exceeds theta, so g(pi/4) <= 0.
@@ -372,9 +322,11 @@ def decompose(
     """Write a quantum-set member as a mixture of at most 3 generators.
 
     Raises NotInQuantumSetError when the arcsine margin is below
-    -tolerance.  `tolerance` only admits the input; which exit the ray
-    takes is decided against the fixed 1e-9 reconstruction bound.  The
-    result reconstructs the input within 1e-9 per component; that bound is
+    -tolerance.  `tolerance` only admits the input.  Whether the input is
+    taken as a point of the curved boundary is decided against the fixed
+    1e-9 reconstruction bound, and which exit the ray takes against pi
+    itself: the face split clamps its weight, so a face point just outside
+    the set would leave its clamp in the residual.  The result reconstructs the input within 1e-9 per component; that bound is
     verified before returning and its failure raises InternalCheckError.
     The check fails for inputs that a tolerance above 1e-9 admits although
     they lie outside the quantum set by more than 1e-9; it has not been
@@ -402,7 +354,7 @@ def decompose(
         weight = y[0]  # of the exit point; the origin takes the rest
         # the face point: s-ordered, with z1 = 1 exactly
         z = (1.0, y[1] / y[0], y[2] / y[0], y[3] / y[0])
-        if _arcsine_sum(z) <= math.pi + _RECONSTRUCTION_TOLERANCE:
+        if _arcsine_sum(z) <= math.pi:
             # the ray exits through the box face x1 = 1
             terms = tuple((w * weight, g) for w, g in _face_terms(z))
         else:

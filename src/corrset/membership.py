@@ -99,11 +99,6 @@ def mu_array(xs: np.ndarray) -> np.ndarray:
     return (2.0 / np.pi) * np.arcsin(np.asarray(xs, dtype=float))
 
 
-def mu_inverse_array(ys: np.ndarray) -> np.ndarray:
-    """Component-wise sin(pi * y / 2), inverse of `mu_array`."""
-    return np.sin(0.5 * np.pi * np.asarray(ys, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # scalar interface
 
@@ -195,16 +190,6 @@ def evaluate(
             "quantum_margin": quantum_margin,
         },
     )
-
-
-def in_classical(x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Whether x lies in the classical set (within tolerance)."""
-    return evaluate(x, tolerance).in_classical
-
-
-def in_quantum(x: CorrelationVector, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Whether x lies in the quantum set (within tolerance)."""
-    return evaluate(x, tolerance).in_quantum
 
 
 def chsh_max(x: CorrelationVector) -> float:

@@ -61,7 +61,7 @@ import numpy as np
 from .checks import _chunk_ranges, _run_chunks
 from .corrvec import CorrelationVector
 from .errors import DimensionError, DomainError, InvariantViolationError
-from .geometry import Decomposition, GeneratorPoint
+from .geometry import Decomposition
 
 _TRACE_TOLERANCE = 1e-12
 _HERMITIAN_TOLERANCE = 1e-12
@@ -224,11 +224,6 @@ def _complex_matrix_from_json(data: list) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError("matrix JSON must be a nested list of [re, im] pairs")
     return matrix
-
-
-def realize_generator(g: GeneratorPoint) -> Realization:
-    """Two-qubit realization of a single generator."""
-    return realize_mixture(Decomposition(((1.0, g),)))
 
 
 def realize_mixture(decomposition: Decomposition) -> Realization:

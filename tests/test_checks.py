@@ -1,5 +1,6 @@
 """Self-verification tests: vertex oracle, grid scans and the parity argument."""
 
+import concurrent.futures
 import itertools
 import math
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from corrset.corrvec import CorrelationVector
-from corrset.errors import DomainError, PreconditionError
+from corrset.errors import DomainError
 from corrset import checks
 from corrset.checks import (
     ANGLE_SUM_THRESHOLD,
@@ -22,24 +23,13 @@ from corrset.checks import (
     _negated_angle_sum_slabs,
     _pair_sum_table,
     angle_sum_max_scan,
-    angle_sum_value,
-    classical_vertices,
-    classical_weights,
-    curvature_expression,
     curvature_positivity_scan,
     deterministic_strategy_vectors,
-    folded_arcsine,
     ghz_contradiction,
-    lvt_oracle,
     lvt_oracle_batch,
 )
-from corrset.membership import (
-    chsh_combinations,
-    classical_margins,
-    in_classical,
-)
+from corrset.membership import chsh_combinations, classical_margins, evaluate
 
-QUARTER_PI = 0.25 * math.pi
 # first grid point, in (nu1, nu2, nu3) order, where the scans reach the maximum
 ANGLE_SUM_ARGMAX = (-1.541592653589793, 1.558407346410207, 1.558407346410207)
 
@@ -57,7 +47,8 @@ def test_deterministic_strategies():
 
 
 def test_vertices_are_eight():
-    vs = classical_vertices()
+    # the oracle's basis rows and their negations are the polytope's vertices
+    vs = np.concatenate([checks._VERTEX_BASIS, -checks._VERTEX_BASIS])
     assert vs.shape == (8, 4)
     strategies = {tuple(row) for row in deterministic_strategy_vectors()}
     assert {tuple(row) for row in vs} <= strategies
@@ -67,30 +58,10 @@ def test_vertices_are_eight():
     assert np.array_equal(gram, 4.0 * np.eye(4))
 
 
-def test_classical_weights_reconstruct():
-    rng = np.random.default_rng(2)
-    vs = classical_vertices()
-    for _ in range(200):
-        w = rng.dirichlet(np.ones(8))
-        x = CorrelationVector(*(w @ vs))
-        weights, vertices = classical_weights(x)
-        assert weights.shape == (8,)
-        assert (weights >= 0).all()
-        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(weights @ vertices - np.array(x.as_tuple())).max() <= 1e-12
-
-
-def test_classical_weights_rejects_outside():
-    with pytest.raises(PreconditionError):
-        classical_weights(CorrelationVector(1, 1, 1, -1))
-
-
 def test_lvt_oracle_frozen_values():
-    assert lvt_oracle(CorrelationVector(1, 1, 1, 1))
-    assert not lvt_oracle(CorrelationVector(1, 1, 1, -1))
-    assert lvt_oracle(CorrelationVector(0.5, 0, 0, 0))
     t = 1 / math.sqrt(2)
-    assert not lvt_oracle(CorrelationVector(t, t, t, -t))
+    points = [(1, 1, 1, 1), (1, 1, 1, -1), (0.5, 0, 0, 0), (t, t, t, -t)]
+    assert lvt_oracle_batch(np.array(points)).tolist() == [True, False, True, False]
 
 
 def test_lvt_oracle_matches_facets():
@@ -105,15 +76,7 @@ def test_lvt_oracle_scalar_agrees():
     rng = np.random.default_rng(8)
     for _ in range(300):
         x = CorrelationVector(*rng.uniform(-1, 1, size=4))
-        assert lvt_oracle(x) == in_classical(x)
-
-
-def test_curvature_frozen_values():
-    assert curvature_expression(QUARTER_PI, QUARTER_PI, QUARTER_PI) == pytest.approx(
-        48.0, abs=1e-9
-    )
-    assert curvature_expression(math.pi / 2 - 0.05, 0.05, 0.05) > 0.0
-    assert curvature_expression(1.5, 1.5, 1.5) > 0.0
+        assert lvt_oracle_batch(x.as_array()) == evaluate(x).in_classical
 
 
 def test_curvature_scan_coarse():
@@ -126,15 +89,6 @@ def test_curvature_scan_coarse():
     # deterministic and worker-count independent
     assert res == curvature_positivity_scan(step=0.1, margin=0.05)
     assert res == curvature_positivity_scan(step=0.1, margin=0.05, workers=2)
-
-
-def test_angle_sum_point_values():
-    assert angle_sum_value(math.pi / 2, math.pi / 2, math.pi / 2) == pytest.approx(
-        math.pi, abs=1e-12
-    )
-    assert angle_sum_value(0.3, 0.3, 0.3) < math.pi
-    assert folded_arcsine(math.pi - 0.25) == pytest.approx(0.25, abs=1e-12)
-    assert folded_arcsine(-3.0) == pytest.approx(3.0 - math.pi, abs=1e-12)
 
 
 def test_angle_sum_scan_coarse():
@@ -337,6 +291,50 @@ def test_chunk_ranges_one_worker_and_even_costs():
     assert _chunk_ranges(np.ones(7), 2) == [(0, 7)]
     sizes = [stop - start for start, stop in _chunk_ranges(np.ones(103), 4)]
     assert sum(sizes) == 103 and max(sizes) - min(sizes) <= 1
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes asked of ProcessPoolExecutor, whose stand-in maps in this
+    process, so no process is started."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, args):
+            return map(func, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, chunks, cpus, size",
+    [(10_000, 3, 2, 2), (2, 5, 8, 2), (9, 3, 16, 3), (8, 3, None, 1)],
+)
+def test_run_chunks_caps_the_pool(monkeypatch, pool_sizes, workers, chunks, cpus, size):
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    args = list(range(-chunks, 0))
+    assert checks._run_chunks(abs, args, workers) == [-a for a in args]
+    assert pool_sizes == [size]
+
+
+def test_sample_pool_is_capped_and_rows_unchanged(monkeypatch, pool_sizes):
+    # 100 workers split 400 rows into 100 chunks, which share 2 CPUs
+    from corrset.quantum import sample_correlations
+
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: 2)
+    rows = sample_correlations(400, seed=5, workers=100)
+    assert pool_sizes == [2]
+    assert (rows == sample_correlations(400, seed=5)).all()
 
 
 def test_scan_rejects_bad_parameters():

@@ -123,6 +123,15 @@ def test_decompose_internal_error_is_a_stderr_line(capsys):
     assert "-0.7071070811865474" in err
 
 
+def test_decompose_member_whose_face_point_lies_just_outside_q(capsys):
+    # its ray meets the face at an arcsine sum of pi + 1e-9; this exited 3
+    x = ("0.0", "0.9999999999999999", "0.9999999999999999", "1e-09")
+    code, out, err = run(capsys, "decompose", *x)
+    assert code == 0
+    assert err == ""
+    assert max(abs(r) for r in json.loads(out)["residual"]) <= 1e-12
+
+
 def test_failing_cross_check_exits_3(capsys, monkeypatch):
     wrong = CorrelationVector(0.9, 0.5, 0.3, 0.2)
     monkeypatch.setattr(membership, "canonicalize", lambda v: CanonicalForm(wrong, v))
@@ -238,6 +247,15 @@ def test_sample_rejects_empty(capsys):
     code, _, err = run(capsys, "sample", "0")
     assert code == 2
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_parallel_must_be_positive(capsys, workers):
+    for argv in (["sample", "5"], ["check-lemmas"]):
+        code, out, err = run(capsys, *argv, "--parallel", workers)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --parallel must be at least 1, got {workers}\n"
 
 
 def test_sample_bad_dims(capsys):

@@ -1,6 +1,12 @@
-"""The package's public names all resolve."""
+"""The package's public names all resolve, and each one is used."""
+
+import ast
+import re
+from pathlib import Path
 
 import corrset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +19,29 @@ def test_star_import():
     namespace = {}
     exec("from corrset import *", namespace)
     assert set(corrset.__all__) <= set(namespace)
+
+
+def _names_read(path: Path) -> set[str]:
+    """Names the code of `path` reads, imports or looks up as attributes;
+    a definition alone is none of these."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_exported_name_is_used():
+    # a public name only its own tests call is not part of the package
+    package = ROOT / "src" / "corrset"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*map(_names_read, sources))
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unused = [name for name in corrset.__all__ if name not in used]
+    assert not unused, unused

@@ -1,6 +1,9 @@
 """Geometry tests: generators, faces, transport and the decomposition."""
 
 import math
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,28 +11,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrset.corrvec import CorrelationVector, canonicalize, full_symmetry_group
-from corrset.errors import (
-    NotInQuantumSetError,
-    NotSOrderedError,
-    PreconditionError,
-)
+from corrset.errors import NotInQuantumSetError
 from corrset import geometry
 from corrset.geometry import (
     Decomposition,
     GeneratorPoint,
     angle_transport,
-    arcsine_sum,
     decompose,
-    face_decompose,
     face_segment,
     generator_values,
     reduce_angle,
 )
-from corrset.membership import evaluate, in_quantum, quantum_margins
+from corrset.membership import evaluate, quantum_margins
 
 T = 1.0 / math.sqrt(2.0)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
+
+
+def _phis(g: GeneratorPoint) -> tuple[float, float, float]:
+    return (g.phi1, g.phi2, g.phi3)
+
+
+def _face_decompose(x2, x3, x4):
+    # on the face x1 = 1 the ray's weight is 1 and no origin term is added,
+    # so decompose returns the face split itself
+    d = decompose(CorrelationVector(1.0, x2, x3, x4))
+    assert all(g.phi1 == 0.5 * math.pi for _, g in d.terms)
+    return d
 
 
 def test_reduce_angle_range():
@@ -84,18 +93,16 @@ def test_boundary_saturation():
 
 
 def test_arcsine_sum_values():
-    assert arcsine_sum(CorrelationVector(1, 0, 0, 0)) == pytest.approx(
+    assert geometry._arcsine_sum((1, 0, 0, 0)) == pytest.approx(
         math.pi / 2, abs=1e-15
     )
-    assert arcsine_sum(CorrelationVector(T, T, T, -T)) == pytest.approx(
+    assert geometry._arcsine_sum((T, T, T, -T)) == pytest.approx(
         math.pi, abs=1e-12
     )
-    assert arcsine_sum(CorrelationVector(1, 1, 1, 1)) == pytest.approx(
+    assert geometry._arcsine_sum((1, 1, 1, 1)) == pytest.approx(
         math.pi, abs=1e-12
     )
-    assert arcsine_sum(CorrelationVector(0, 0, 0, 0)) == 0.0
-    with pytest.raises(NotSOrderedError):
-        arcsine_sum(CorrelationVector(0.1, 0.9, 0.0, 0.0))
+    assert geometry._arcsine_sum((0, 0, 0, 0)) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -111,11 +118,11 @@ def test_decompose_boundary_point_is_one_generator(x, phis):
     d = decompose(CorrelationVector(*x))
     assert len(d.terms) == 1
     assert d.weights[0] == 1.0
-    assert d.generators[0].as_tuple() == pytest.approx(phis, abs=1e-12)
+    assert _phis(d.terms[0][1]) == pytest.approx(phis, abs=1e-12)
 
 
 def test_face_decompose_split():
-    terms = face_decompose(CorrelationVector(1, 0, 0, 0)).terms
+    terms = _face_decompose(0, 0, 0).terms
     assert len(terms) == 2
     (w_low, g_low), (w_high, g_high) = terms
     assert w_low == pytest.approx(0.5, abs=1e-12)
@@ -126,7 +133,7 @@ def test_face_decompose_split():
 
 def test_face_decompose_degenerate():
     y = 0.62
-    terms = face_decompose(CorrelationVector(1, 1, y, y)).terms
+    terms = _face_decompose(1, y, y).terms
     assert len(terms) == 1
     assert terms[0][0] == pytest.approx(1.0, abs=0)
     assert terms[0][1].evaluate().as_tuple() == pytest.approx(
@@ -137,19 +144,11 @@ def test_face_decompose_degenerate():
 def test_face_decompose_endpoint_collapses():
     # x4 at the lower face edge: the high-end term carries zero weight
     theta2, theta3 = 1.0, 0.5
-    x = CorrelationVector(
-        1.0, math.sin(theta2), math.sin(theta3), -math.cos(theta2 + theta3)
-    )
-    terms = face_decompose(x).terms
+    terms = _face_decompose(
+        math.sin(theta2), math.sin(theta3), -math.cos(theta2 + theta3)
+    ).terms
     assert len(terms) == 1
     assert terms[0][0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_face_decompose_preconditions():
-    with pytest.raises(PreconditionError):
-        face_decompose(CorrelationVector(0.9, 0.1, 0.1, 0.0))
-    with pytest.raises(NotSOrderedError):
-        face_decompose(CorrelationVector(1.0, 0.3, 0.9, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -158,9 +157,9 @@ def test_face_decompose_preconditions():
 def test_face_decompose_generators_at_segment_ends(x2, x3, x4):
     low, high = face_segment(x2, x3)
     assert low < x4 < high
-    d = face_decompose(CorrelationVector(1.0, x2, x3, x4))
+    d = _face_decompose(x2, x3, x4)
     assert len(d.terms) == 2
-    fourth = [g.evaluate().x4 for g in d.generators]
+    fourth = [g.evaluate().x4 for _, g in d.terms]
     assert fourth == pytest.approx([low, high], abs=1e-12)
     assert d.reconstruct().as_tuple() == pytest.approx((1.0, x2, x3, x4), abs=1e-12)
 
@@ -170,7 +169,7 @@ def test_face_segment_pinned_on_box_edge(x3):
     # at |x2| = 1 the segment is the single point x2*x3, and one term
     assert face_segment(1.0, x3) == (x3, x3)
     assert face_segment(-x3, -1.0) == (x3, x3)
-    d = face_decompose(CorrelationVector(1.0, 1.0, x3, x3))
+    d = _face_decompose(1.0, x3, x3)
     assert len(d.terms) == 1
     assert d.reconstruct().as_tuple() == pytest.approx((1.0, 1.0, x3, x3), abs=1e-12)
 
@@ -218,7 +217,7 @@ def test_decompose_round_trip_property(p, q, lam):
     a = np.array(GeneratorPoint(*p).evaluate().as_tuple())
     b = np.array(GeneratorPoint(*q).evaluate().as_tuple())
     x = CorrelationVector(*(lam * a + (1 - lam) * b))
-    assert in_quantum(x)
+    assert evaluate(x).in_quantum
     d = decompose(x)
     residual = np.abs(
         np.array(d.reconstruct().as_tuple()) - np.array(x.as_tuple())
@@ -249,7 +248,7 @@ def test_angle_transport_sign_flip_example():
             break
     assert flip12 is not None
     moved = angle_transport(flip12, GeneratorPoint.origin())
-    assert moved.as_tuple() == pytest.approx((math.pi, math.pi, 0.0), abs=0)
+    assert _phis(moved) == pytest.approx((math.pi, math.pi, 0.0), abs=0)
     assert moved.evaluate().as_tuple() == pytest.approx(
         (0, 0, 0, 0), abs=1e-15
     )
@@ -261,7 +260,7 @@ def test_angle_transport_identity():
         full_symmetry_group()[0].inverse()
     )
     moved = angle_transport(identity, g)
-    assert moved.as_tuple() == pytest.approx(g.as_tuple(), abs=1e-15)
+    assert _phis(moved) == pytest.approx(_phis(g), abs=1e-15)
 
 
 def test_angle_transport_swap_example():
@@ -307,20 +306,10 @@ def test_decomposition_validation():
         Decomposition(terms=((1.5, g), (-0.5, g)))
 
 
-def test_decomposition_json_round_trip():
-    d = decompose(CorrelationVector(0.5, 0, 0, 0))
-    back = Decomposition.from_json_list(d.to_json_list())
-    assert back.weights == d.weights
-    assert all(
-        a.as_tuple() == b.as_tuple()
-        for a, b in zip(back.generators, d.generators)
-    )
-
-
 def test_canonical_interior_bisection_path():
     # strictly inside Q, x1 < 1, so decompose must go through the ray search
     x = CorrelationVector(0.8, 0.45, 0.2, -0.1)
-    assert in_quantum(x)
+    assert evaluate(x).in_quantum
     cf = canonicalize(x)
     assert cf.canonical.x1 < 1.0
     d = decompose(x)
@@ -402,6 +391,34 @@ def test_decompose_loose_tolerance_only_admits():
         assert _max_residual(CorrelationVector(*values), tolerance=1e-6) <= 1e-9
     d = decompose(CorrelationVector(T, T, T, -T), tolerance=1e-6)
     assert len(d.terms) == 1
+
+
+def test_decompose_member_whose_face_point_lies_just_outside_q():
+    # the ray meets the face at (1, 1, 1e-9, 0), whose arcsine sum is
+    # pi + 1e-9; the face split clamps its weight there, and it left a
+    # residual of 1.000e-09, over the bound
+    x = CorrelationVector(0.0, 0.9999999999999999, 0.9999999999999999, 1e-09)
+    assert evaluate(x).quantum_margin > 0.0
+    assert _max_residual(x) <= 1e-12
+
+
+def test_decompose_rays_whose_face_points_lie_just_outside_q():
+    # members on rays that meet the face at an arcsine sum in (pi, pi + 1e-9]
+    rng = np.random.default_rng(29)
+    count = 0
+    while count < 2000:
+        t2, t3 = sorted(rng.uniform(0.0, 0.5 * math.pi, size=2), reverse=True)
+        if rng.random() < 0.25:
+            t2 = 0.5 * math.pi
+        x4 = -math.cos(t2 + t3) - 1e-9 * rng.random() ** 4
+        z = (1.0, math.sin(t2), math.sin(t3), x4)
+        if abs(x4) > z[2] or not 0.0 < geometry._arcsine_sum(z) - math.pi <= 1e-9:
+            continue
+        scale = rng.uniform(0.5, 1.0)
+        x = CorrelationVector(*(scale * v for v in z))
+        if evaluate(x).quantum_margin >= 0.0:
+            count += 1
+            assert _max_residual(x) <= 1e-12
 
 
 def _g(z, theta):
@@ -507,3 +524,18 @@ def test_boundary_angle_bounded_with_a_poor_slope(scale):
             theta = geometry._boundary_angle(z)
         assert len(calls) <= 9 * 53
         assert _g(z, theta) >= 0.0 > _g(z, math.nextafter(theta, 0.0))
+
+
+def test_face_slices_demo(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "face_slices.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    number = r"\s*(-?[\d.]+)"
+    rows = re.findall(rf"\[{number},{number}\] \| \[{number},{number}\]", out)
+    assert len(rows) == 25
+    for c_low, c_high, q_low, q_high in (map(float, row) for row in rows):
+        # each quantum x4 interval contains the classical one
+        assert q_low <= c_low <= c_high <= q_high
+    # mu sends the quantum bounds onto the classical ones
+    mapped = re.search(r"gives \[(\S+), (\S+)\]", out).groups()
+    assert mapped == re.search(r"is \[(\S+), (\S+)\]", out).groups()

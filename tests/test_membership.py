@@ -1,7 +1,9 @@
 """Membership tests: CHSH facets, arcsine bound, margins and the mu map."""
 
 import math
+import runpy
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,12 +33,9 @@ from corrset.membership import (
     chsh_max,
     classical_margins,
     evaluate,
-    in_classical,
-    in_quantum,
     mu,
     mu_array,
     mu_inverse,
-    mu_inverse_array,
     quantum_margins,
 )
 
@@ -132,8 +131,8 @@ def test_batch_matches_scalar():
         report = evaluate(CorrelationVector(*row))
         assert report.classical_margin == pytest.approx(c, abs=1e-15)
         assert report.quantum_margin == pytest.approx(q, abs=1e-15)
-        assert in_classical(CorrelationVector(*row)) == (c >= -1e-9)
-        assert in_quantum(CorrelationVector(*row)) == (q >= -1e-9)
+        assert report.in_classical == (c >= -1e-9)
+        assert report.in_quantum == (q >= -1e-9)
 
 
 def test_eight_vs_canonical_fast_path():
@@ -169,7 +168,8 @@ def test_mu_round_trip(t):
 def test_mu_array_round_trip():
     rng = np.random.default_rng(3)
     xs = rng.uniform(-1, 1, size=(1000, 4))
-    assert np.abs(mu_inverse_array(mu_array(xs)) - xs).max() <= 1e-12
+    back = [mu_inverse(CorrelationVector(*row)).as_tuple() for row in mu_array(xs)]
+    assert np.abs(np.array(back) - xs).max() <= 1e-12
 
 
 def test_mu_margin_scaling():
@@ -208,8 +208,8 @@ def test_classical_subset_of_quantum():
     for _ in range(300):
         w = rng.dirichlet(np.ones(16))
         x = CorrelationVector(*(w @ strategies))
-        assert in_classical(x)
-        assert in_quantum(x)
+        report = evaluate(x)
+        assert report.in_classical and report.in_quantum
 
 
 def test_ray_monotonicity():
@@ -312,3 +312,14 @@ def test_array_row_maxima_bitwise_the_last_axis_max(xs):
     verdict = lvt_oracle_batch(xs)
     assert np.shape(verdict) == xs.shape[:-1]
     assert np.array_equal(verdict, _restated_lvt_oracle_batch(xs))
+
+
+def test_membership_tour_demo(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "membership_tour.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    rows = {
+        line[:24].strip(): line[24:].split()
+        for line in capsys.readouterr().out.splitlines()[1:7]
+    }
+    assert rows["Tsirelson point"][:2] == ["False", "True"]
+    assert rows["PR box"] == ["False", "False", "-2.000000", "-3.141593"]

@@ -21,7 +21,6 @@ from corrset.quantum import (
     _sample_draws,
     Realization,
     expectation,
-    realize_generator,
     realize_mixture,
     sample_correlations,
     sample_quantum,
@@ -29,6 +28,10 @@ from corrset.quantum import (
 
 T = 1.0 / math.sqrt(2.0)
 HALF_PI = 0.5 * math.pi
+
+
+def realize_generator(g: GeneratorPoint) -> Realization:
+    return realize_mixture(Decomposition(((1.0, g),)))
 
 
 def max_component_gap(x: CorrelationVector, y: CorrelationVector) -> float:
