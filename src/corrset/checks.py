@@ -28,42 +28,45 @@ point of this module is redundancy.  It provides:
   +-1 assignment reproduces the four three-party correlators (1, 1, 1, -1)
   of the canonical parity argument.
 
-Both scans run through one driver, `_min_scan`: it splits the rows i of
-the grid among workers, and each row yields a slab of values over (j, k),
-j >= i, from which it takes the violation count below a bound and the
-first minimum.  Only the slab function differs between the scans.  The angle
+Both scans run through one driver, `_min_scan`, in one process.  The
+scanned value at (i, j, k) is the same float at its mirror (j, i, k): IEEE
+addition is commutative, and every term enters through the pair sum
+axis[i] + axis[j] or a per-row sum such as sin_term[i] + sin_term[j].  So the
+driver scans the rows i <= j alone, counts a row j > i twice, and the first
+minimizer has i <= j, as its mirror would come first otherwise.  The angle
 scan looks for a maximum, so it runs on the negated sum, with tables
 -asin(sin nu) added in the same order as the sum: IEEE negation is exact
 and rounding is symmetric, so every scanned value is exactly minus the
-sum and the maximum, its first grid point and the count above pi +
-threshold come out as a maximum scan would give them.  Results are
-deterministic for fixed parameters and do not depend on the worker count:
-chunks merge by (value, grid point).
+sum, and the maximum, its first grid point and the count above pi +
+threshold come out as a maximum scan would give them.
 
-The slabs read the grid total's tan, or asin(sin), from a pair-sum table.
-The total at (i, j, k) is the float fl(fl(axis[i] + axis[j]) + axis[k]), so
-it depends on (i, j) only through the pair sum, and the default grids have
-about 2,000 distinct pair sums among 10^5 pairs.  Each scan evaluates the
-transcendental once on the (pair sums, n) array of totals and gathers a
-slab's rows by pair.  Every total is formed by the same two roundings and
-goes through the same elementwise ufunc as in a direct evaluation, so every
-scanned value is bitwise the direct one.  The table is built on the first
-slab, as `_min_scan` asks for slabs only to read the axis.
+The grid total at (i, j, k) is the float fl(fl(axis[i] + axis[j]) + axis[k]),
+so it depends on (i, j) only through the pair sum, and the default grids
+have about 2,000 distinct pair sums among 5 x 10^4 rows.  Each scan
+evaluates its transcendental once on the (pair sums, n) table of totals and
+gathers a row's values by its pair sum.  Every total is formed by the same
+two roundings and goes through the same elementwise ufunc as in a direct
+evaluation, so every scanned value is bitwise the direct one.  The total
+is neither a function of i + j + k nor symmetric in j and k.
 
-IEEE addition is commutative, so the total and per-axis sums such as
-sin_term[i] + sin_term[j] make every value the same float at (i, j, k) and
-at its mirror (j, i, k).  A slab holds rows j >= i alone, the count is
-2 x (hits with j > i) + (hits with j == i), and the first minimizer has
-i <= j, as its mirror would come first otherwise.  The total is neither a
-function of i + j + k nor symmetric in j and k.
+The driver is a branch and bound that skips rows which can hold neither
+the minimum nor a value below the bound.  Rows of one pair sum, taken in
+grid order, are cut into buckets.  Within a bucket a value depends on the
+row only through its per-row sums, and each rounded step (add, subtract,
+square a positive number, multiply by a factor of fixed sign) is monotone
+in each input.  So the expression evaluated once at the bucket's corner,
+with its least sum and, for the curvature scan, its greatest weight sum
+where tan > 0 and its least where tan < 0, is a float at most every value
+in the bucket, with no margin.  Rows run in the order of these bounds, a
+block at a time, until the next bound exceeds both the best value so far
+and the bound counted against; the result is the full scan's, bit for bit,
+whatever the bucket size.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,12 @@ from .corrvec import DEFAULT_TOLERANCE
 from .errors import DomainError, InternalCheckError
 
 _PATH_AGREEMENT_TOLERANCE = 1e-9
+
+# Grid rows per evaluated block: 128 x n values, 320 kB at n = 315
+_BLOCK_ROWS = 128
+# Rows per bucket.  A bucket costs one corner row and is evaluated whole or
+# not at all; at the default grids 32 to 128 scan fastest, 4 about 30% slower.
+_BUCKET_ROWS = 64
 
 CURVATURE_THRESHOLD = -1e-9
 ANGLE_SUM_THRESHOLD = 1e-9
@@ -168,108 +177,139 @@ def _grid_axis(limit: float, step: float) -> np.ndarray:
     return -limit + step * np.arange(count)
 
 
-def _pair_sum_table(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pair sums of the axis and where each pair finds its own:
-    (heads, where) with heads[where] bitwise axis[:, None] + axis[None, :]."""
-    heads, where = np.unique(axis[:, None] + axis[None, :], return_inverse=True)
-    return heads, where.reshape(axis.size, axis.size)
+def _pair_sum_table(axis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The half grid's rows, i <= j in grid order, the distinct pair sums
+    and where each row finds its own: (i, j, heads, pair, order) with
+    heads[pair] bitwise axis[i] + axis[j] and heads increasing; `order`
+    lists the rows by pair sum, in grid order within one."""
+    i, j = np.triu_indices(axis.size)
+    sums = axis[i] + axis[j]
+    order = np.argsort(sums, kind="stable")
+    ranked = sums[order]
+    opens = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    pair = np.empty_like(order)
+    pair[order] = np.cumsum(opens) - 1
+    return i, j, ranked[opens], pair, order
 
 
-def _scan_chunk(args: tuple) -> tuple[float, tuple[float, ...] | None, int]:
-    """Rows start..stop-1 of a minimum scan: the first smallest value with
-    its grid point, and the count of values below `bound`.
-    `make_slabs(*params)` gives the axis, `slab(i)`: (first, values), the
-    values at (axis[i], axis[j], axis[k]) for rows j = first, first + 1, ...
-    with first >= i, or None when row i has no grid point with j >= i, and
-    the number of rows each slab(i) holds.  A value is the same at
-    (j, i, k), so a row j > i counts twice."""
-    start, stop, make_slabs, params, bound = args
-    axis, slab, _ = make_slabs(*params)
-    count = axis.size
-    best = math.inf
-    best_arg: tuple[float, ...] | None = None
-    violations = 0
-    for i in range(start, stop):
-        rows = slab(i)
-        if rows is None:
-            continue
-        first, values = rows
-        flat = int(np.argmin(values))
-        value = float(values.flat[flat])
-        if value < bound:
-            hits = np.count_nonzero(values < bound, axis=1)
-            violations += 2 * int(hits.sum()) - int(hits[0]) * (first == i)
-        if value < best:
-            best = value
-            best_arg = (
-                float(axis[i]),
-                float(axis[first + flat // count]),
-                float(axis[flat % count]),
-            )
-    return best, best_arg, violations
+def _bucket_starts(pair: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
+    """Where `order`, rows grouped by pair sum, is cut into buckets of at
+    most `size` rows of one pair sum."""
+    position = np.arange(order.size)
+    opens = np.diff(pair[order], prepend=-1) != 0
+    class_start = np.maximum.accumulate(np.where(opens, position, 0))
+    return np.flatnonzero((position - class_start) % size == 0)
+
+
+def _bucket_lows(corner, count: int) -> np.ndarray:
+    """Row minima of corner(buckets), the values at `count` bucket corners,
+    a block of corners at a time."""
+    return np.concatenate(
+        [
+            corner(slice(start, start + _BLOCK_ROWS)).min(axis=1)
+            for start in range(0, count, _BLOCK_ROWS)
+        ]
+    )
 
 
 def _min_scan(
-    make_slabs, params: tuple, bound: float, workers: int
+    axis: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    lows: np.ndarray,
+    values,
+    bound: float,
 ) -> tuple[float, tuple[float, ...], int]:
     """(min value, its grid point, count below `bound`) over the grid.
-    Ties go to the smallest grid point, whatever the split into chunks.
-    Row i's work is its slab rows, and one more row's worth to find them."""
-    rows = make_slabs(*params)[2]
-    args = [
-        (start, stop, make_slabs, params, bound)
-        for start, stop in _chunk_ranges(rows + 1, workers)
-    ]
-    results = _run_chunks(_scan_chunk, args, workers)
-    candidates = [r for r in results if r[1] is not None]
-    if not candidates:
-        raise DomainError("scan grid is empty; decrease step or margin")
-    best, best_arg, _ = min(candidates, key=lambda r: (r[0], r[1]))
-    return best, best_arg, sum(r[2] for r in results)
+
+    (i, j) lists the rows i <= j of the grid in grid order, and values(rows)
+    their values at (axis[i], axis[j], axis[k]) for every k; a row left out
+    holds +inf alone.  Bucket b is rows order[starts[b]:starts[b + 1]], and
+    lows[b] is at most every value in it.  Rows run in the order of their
+    bucket's low, a block at a time, until the next low exceeds both the
+    best value so far and `bound`: no row left can hold the minimum or a
+    value below `bound`.  Ties go to the first grid point, and a row j > i
+    counts twice, as its mirror (j, i) holds the same values.
+    """
+    row_lows = np.repeat(lows, np.diff(starts, append=order.size))
+    ranked = np.argsort(row_lows, kind="stable")
+    sequence, row_lows = order[ranked], row_lows[ranked]
+    best = math.inf
+    violations = 0
+    done = []
+    for start in range(0, sequence.size, _BLOCK_ROWS):
+        if row_lows[start] > max(best, bound):
+            break
+        rows = sequence[start : start + _BLOCK_ROWS]
+        block = values(rows)
+        first = np.argmin(block, axis=1)
+        minima = block[np.arange(rows.size), first]
+        done.append((rows, minima, first))
+        best = min(best, float(minima.min()))
+        if minima.min() < bound:
+            hits = np.count_nonzero(block < bound, axis=1)
+            violations += int(hits @ (2 - (i[rows] == j[rows])))
+    rows, minima, first = (np.concatenate(part) for part in zip(*done))
+    ties = np.flatnonzero(minima == best)
+    won = ties[np.argmin(rows[ties])]
+    row = rows[won]
+    return (
+        best,
+        (float(axis[i[row]]), float(axis[j[row]]), float(axis[first[won]])),
+        violations,
+    )
 
 
-def _curvature_slabs(step: float, margin: float):
+def _curvature_rows(step: float, margin: float, bucket: int) -> tuple:
+    """`_min_scan`'s grid and buckets for the curvature expression."""
     limit = 0.5 * math.pi - margin
     axis = _grid_axis(limit, step)
     low_sum = 0.5 * math.pi + margin
     high_sum = 1.5 * math.pi - margin
     sin_term = np.sin(axis) / np.cos(axis) ** 5
     weight_term = 1.0 / np.cos(axis) ** 2
-    # slab(i)'s rows: j >= i from the first whose sum can reach low_sum
-    reach = np.searchsorted(axis, low_sum - axis[-1] - axis)
-    rows = axis.size - np.maximum(np.arange(axis.size), reach)
+    i, j, heads, pair, order = _pair_sum_table(axis)
+    totals = heads[:, None] + axis[None, :]
+    in_range = (totals >= low_sum) & (totals <= high_sum)
+    tan_totals = np.tan(totals, out=totals)
+    # finite terms minus -inf times a weight >= 9: +inf off the range
+    tan_totals[~in_range] = -np.inf
+    # a row whose pair sum puts no total in range is +inf alone
+    order = order[in_range.any(axis=1)[pair[order]]]
+    if order.size == 0:
+        raise DomainError("scan grid is empty; decrease step or margin")
+    sums = sin_term[i] + sin_term[j]
+    weights = weight_term[i] + weight_term[j]
 
-    @functools.cache
-    def table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        heads, where = _pair_sum_table(axis)
-        totals = heads[:, None] + axis[None, :]
-        in_range = (totals >= low_sum) & (totals <= high_sum)
-        tan_totals = np.tan(totals, out=totals)
-        # finite terms minus -inf times a weight >= 9: +inf off the range
-        tan_totals[~in_range] = -np.inf
-        return tan_totals, in_range.any(axis=1), where
-
-    def slab(i: int) -> tuple[int, np.ndarray] | None:
-        tan_totals, head_in_range, where = table()
-        rows = i + np.flatnonzero(head_in_range[where[i, i:]])
-        if rows.size == 0:
-            return None
-        # rows j outside the first..last with a point in range are all +inf
-        j = slice(rows[0], rows[-1] + 1)
-        return int(rows[0]), (
-            sin_term[i] + sin_term[j, None] + sin_term[None, :]
-        ) - tan_totals[where[i, j]] * (
-            weight_term[i] + weight_term[j, None] + weight_term[None, :]
+    def expression(sums, weights, pairs):
+        return (sums[:, None] + sin_term) - tan_totals[pairs] * (
+            weights + weight_term
         ) ** 2
 
-    return axis, slab, rows
+    starts = _bucket_starts(pair, order, bucket)
+    least = np.minimum.reduceat(sums[order], starts)
+    light = np.minimum.reduceat(weights[order], starts)
+    heavy = np.maximum.reduceat(weights[order], starts)
+    classes = pair[order[starts]]
+
+    def corner(b):
+        pairs = classes[b]
+        # a value falls as the weight sum grows where tan > 0, rises where < 0
+        chosen = np.where(tan_totals[pairs] > 0.0, heavy[b, None], light[b, None])
+        return expression(least[b], chosen, pairs)
+
+    def values(rows):
+        return expression(sums[rows], weights[rows, None], pair[rows])
+
+    return axis, i, j, order, starts, _bucket_lows(corner, starts.size), values
 
 
 def curvature_positivity_scan(
     step: float = 0.01,
     margin: float = 0.05,
     threshold: float = CURVATURE_THRESHOLD,
-    workers: int = 1,
 ) -> ScanResult:
     """Scan the curvature expression over its admissible grid.
 
@@ -280,34 +320,36 @@ def curvature_positivity_scan(
     min_value >= threshold (violations == 0).
     """
     _check_scan_params(step, margin)
-    return ScanResult(
-        step, *_min_scan(_curvature_slabs, (step, margin), threshold, workers)
-    )
+    rows = _curvature_rows(step, margin, _BUCKET_ROWS)
+    return ScanResult(step, *_min_scan(*rows, threshold))
 
 
-def _negated_angle_sum_slabs(step: float):
+def _negated_angle_sum_rows(step: float, bucket: int) -> tuple:
+    """`_min_scan`'s grid and buckets for the negated folded arcsine sum."""
     axis = _grid_axis(math.pi, step)
     negated = -np.arcsin(np.sin(axis))
+    i, j, heads, pair, order = _pair_sum_table(axis)
+    totals = heads[:, None] + axis[None, :]
+    folded = np.arcsin(np.sin(totals, out=totals), out=totals)
+    sums = negated[i] + negated[j]
 
-    @functools.cache
-    def table() -> tuple[np.ndarray, np.ndarray]:
-        heads, where = _pair_sum_table(axis)
-        totals = heads[:, None] + axis[None, :]
-        return np.arcsin(np.sin(totals, out=totals), out=totals), where
+    def expression(sums, pairs):
+        return (sums[:, None] + negated) - folded[pairs]
 
-    def slab(i: int) -> tuple[int, np.ndarray]:
-        folded, where = table()
-        return i, (negated[i] + negated[i:, None] + negated[None, :]) - folded[
-            where[i, i:]
-        ]
+    starts = _bucket_starts(pair, order, bucket)
+    least = np.minimum.reduceat(sums[order], starts)
+    classes = pair[order[starts]]
 
-    return axis, slab, axis.size - np.arange(axis.size)
+    def values(rows):
+        return expression(sums[rows], pair[rows])
+
+    lows = _bucket_lows(lambda b: expression(least[b], classes[b]), starts.size)
+    return axis, i, j, order, starts, lows, values
 
 
 def angle_sum_max_scan(
     step: float = 0.02,
     threshold: float = ANGLE_SUM_THRESHOLD,
-    workers: int = 1,
 ) -> ScanResult:
     """Scan the constrained folded arcsine sum for its maximum.
 
@@ -317,9 +359,8 @@ def angle_sum_max_scan(
     with violations == 0, and attainment min_value <= 2 * step.
     """
     _check_scan_params(step, None)
-    best, best_arg, violations = _min_scan(
-        _negated_angle_sum_slabs, (step,), -(math.pi + threshold), workers
-    )
+    rows = _negated_angle_sum_rows(step, _BUCKET_ROWS)
+    best, best_arg, violations = _min_scan(*rows, -(math.pi + threshold))
     return ScanResult(step, math.pi + best, best_arg, violations)
 
 
@@ -336,40 +377,17 @@ def _check_scan_params(step: float, margin: float | None) -> None:
     limit = math.pi if margin is None else 0.5 * math.pi - margin
     # _grid_axis's count up to its floor, found without making an array
     count = 2.0 * limit / step + 1.0
-    # the largest arrays a scan builds from the axis are (n, n) float64:
-    # the pair sums, and a slab; numpy allocates no array of more bytes
-    # than its index type counts, which also bounds the axis itself
+    # the largest array a scan builds is its (pair sums, n) table of totals;
+    # the pair sums include the n exact doubles 2 axis[i], so it holds at
+    # least n x n float64, more than the n(n + 1)/2 half-grid rows of 8
+    # bytes each or np.triu_indices's n x n mask of one; numpy allocates no
+    # array of more bytes than its index type counts, which also bounds the
+    # axis itself
     if count * count * np.dtype(float).itemsize > np.iinfo(np.intp).max:
         raise DomainError(
             f"step {step!r} gives {count:.4g} grid points per axis, too many "
-            "to allocate the (n, n) pair sums and slabs"
+            "to allocate the (pair sums, n) table of totals"
         )
-
-
-def _chunk_ranges(costs: np.ndarray, workers: int) -> list[tuple[int, int]]:
-    """Split the indices of the positive `costs` into contiguous (start,
-    stop) pieces, one per worker when every worker gets at least 4 indices,
-    else one; each cut falls where the running total is nearest its share."""
-    size = len(costs)
-    pieces = workers if workers > 1 and size >= 4 * workers else 1
-    totals = np.concatenate(([0], np.cumsum(costs)))
-    shares = totals[-1] * np.arange(pieces + 1) / pieces
-    cuts = np.rint(np.interp(shares, totals, np.arange(size + 1))).astype(int)
-    return [(int(cuts[k]), int(cuts[k + 1])) for k in range(pieces)]
-
-
-def _run_chunks(func, args: list, workers: int) -> list:
-    """func over args, in order; in a pool of processes when there is more
-    than one chunk.  The pool holds no more processes than `workers`, the
-    chunks or the host's CPUs, since a fork pool starts all of them at
-    once.  func must be picklable by name."""
-    if len(args) <= 1:
-        return [func(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = min(workers, len(args), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(func, args))
 
 
 # ---------------------------------------------------------------------------

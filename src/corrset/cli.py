@@ -327,7 +327,7 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
     results = []
 
     scan = checks.curvature_positivity_scan(
-        step=hessian_step, margin=args.hessian_margin, workers=args.parallel
+        step=hessian_step, margin=args.hessian_margin
     )
     results.append(
         {
@@ -338,7 +338,7 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
         }
     )
 
-    scan = checks.angle_sum_max_scan(step=angle_step, workers=args.parallel)
+    scan = checks.angle_sum_max_scan(step=angle_step)
     attained = math.pi - scan.min_value
     results.append(
         {
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for sampling and scans (at least 1)",
+        help="worker processes for sampling (at least 1)",
     )
 
     parser = argparse.ArgumentParser(

@@ -42,6 +42,7 @@ involved anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,11 @@ class Decomposition:
 
     def reconstruct(self) -> CorrelationVector:
         """Weighted sum of the evaluated generators."""
+        return self._reconstructed
+
+    # computed once: `decompose` checks it and `realize_mixture` realizes it
+    @functools.cached_property
+    def _reconstructed(self) -> CorrelationVector:
         acc = [0.0, 0.0, 0.0, 0.0]
         for w, g in self.terms:
             for i, v in enumerate(g._components()):

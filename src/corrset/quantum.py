@@ -54,11 +54,11 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _chunk_ranges, _run_chunks
 from .corrvec import CorrelationVector
 from .errors import DimensionError, DomainError, InvariantViolationError
 from .geometry import Decomposition
@@ -477,6 +477,29 @@ def _sample_chunk(args: tuple[int, int, int, int, int]) -> np.ndarray:
     return out
 
 
+def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
+    """Split range(size) into contiguous (start, stop) pieces whose sizes
+    differ by at most 1: one per worker when every worker gets at least 4
+    indices, else one."""
+    pieces = workers if workers > 1 and size >= 4 * workers else 1
+    cuts = [size * k // pieces for k in range(pieces + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _run_chunks(func, args: list, workers: int) -> list:
+    """func over args, in order; in a pool of processes when there is more
+    than one chunk.  The pool holds no more processes than `workers`, the
+    chunks or the host's CPUs, since a fork pool starts all of them at
+    once.  func must be picklable by name."""
+    if len(args) <= 1:
+        return [func(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
+
+    size = min(workers, len(args), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(func, args))
+
+
 def sample_correlations(
     count: int,
     dim_a: int = 2,
@@ -494,6 +517,6 @@ def sample_correlations(
         raise DimensionError(f"count must be nonnegative, got {count}")
     args = [
         (start, stop, dim_a, dim_b, seed)
-        for start, stop in _chunk_ranges(np.ones(count), workers)
+        for start, stop in _chunk_ranges(count, workers)
     ]
     return np.concatenate(_run_chunks(_sample_chunk, args, workers), axis=0)

@@ -12,15 +12,15 @@ import pytest
 
 from corrset.corrvec import CorrelationVector
 from corrset.errors import DomainError
-from corrset import checks
+from corrset import checks, quantum
 from corrset.checks import (
     ANGLE_SUM_THRESHOLD,
     CURVATURE_THRESHOLD,
     ScanResult,
-    _chunk_ranges,
-    _curvature_slabs,
+    _curvature_rows,
     _grid_axis,
-    _negated_angle_sum_slabs,
+    _min_scan,
+    _negated_angle_sum_rows,
     _pair_sum_table,
     angle_sum_max_scan,
     curvature_positivity_scan,
@@ -29,6 +29,7 @@ from corrset.checks import (
     lvt_oracle_batch,
 )
 from corrset.membership import chsh_combinations, classical_margins, evaluate
+from corrset.quantum import _chunk_ranges
 
 # first grid point, in (nu1, nu2, nu3) order, where the scans reach the maximum
 ANGLE_SUM_ARGMAX = (-1.541592653589793, 1.558407346410207, 1.558407346410207)
@@ -86,9 +87,7 @@ def test_curvature_scan_coarse():
     assert res.min_value == pytest.approx(48.0, rel=0.01)
     # pinned bit for bit, so the argmin tie-break and the count cannot move
     assert res == ScanResult(0.1, 48.01860850970014, (0.7792036732051038,) * 3, 0)
-    # deterministic and worker-count independent
     assert res == curvature_positivity_scan(step=0.1, margin=0.05)
-    assert res == curvature_positivity_scan(step=0.1, margin=0.05, workers=2)
 
 
 def test_angle_sum_scan_coarse():
@@ -99,14 +98,12 @@ def test_angle_sum_scan_coarse():
     assert math.pi - res.min_value == pytest.approx(math.pi, abs=0.2)
     assert res == ScanResult(0.1, -1.554312234475219e-14, ANGLE_SUM_ARGMAX, 0)
     assert res == angle_sum_max_scan(step=0.1)
-    assert res == angle_sum_max_scan(step=0.1, workers=2)
 
 
 def test_angle_sum_scan_counts_violations():
     # with the bound lowered to pi - 1 most of the grid exceeds it
     expected = ScanResult(0.05, -1.554312234475219e-14, ANGLE_SUM_ARGMAX, 298_690)
     assert angle_sum_max_scan(step=0.05, threshold=-1.0) == expected
-    assert angle_sum_max_scan(step=0.05, threshold=-1.0, workers=2) == expected
 
 
 def test_scan_violation_counts_pinned():
@@ -115,12 +112,18 @@ def test_scan_violation_counts_pinned():
     angle = ScanResult(
         0.03, -1.2434497875801753e-14, (1.5684073464102068,) * 3, 824_223
     )
-    for workers in (1, 2):
-        assert (
-            curvature_positivity_scan(step=0.03, threshold=100.0, workers=workers)
-            == curvature
-        )
-        assert angle_sum_max_scan(step=0.03, threshold=-0.5, workers=workers) == angle
+    assert curvature_positivity_scan(step=0.03, threshold=100.0) == curvature
+    assert angle_sum_max_scan(step=0.03, threshold=-0.5) == angle
+
+
+def test_default_grids_pinned():
+    # what check-lemmas prints at its default steps
+    assert curvature_positivity_scan() == ScanResult(
+        0.01, 48.00691003067614, (0.7892036732051035,) * 3, 0
+    )
+    assert angle_sum_max_scan() == ScanResult(
+        0.02, -1.554312234475219e-14, ANGLE_SUM_ARGMAX, 0
+    )
 
 
 def _bits(values):
@@ -139,9 +142,17 @@ def _bits(values):
 )
 def test_pair_sum_table_is_bitwise(limit, step):
     axis = _grid_axis(limit, step)
-    heads, where = _pair_sum_table(axis)
+    i, j, heads, pair, order = _pair_sum_table(axis)
+    rows = np.triu_indices(axis.size)
+    assert (i == rows[0]).all() and (j == rows[1]).all()
     assert (np.diff(heads) > 0.0).all()
-    assert (_bits(heads[where]) == _bits(axis[:, None] + axis[None, :])).all()
+    assert (_bits(heads[pair]) == _bits(axis[i] + axis[j])).all()
+    # the n doubles 2 axis[i] are pair sums, so the table has n rows or more
+    assert np.isin(2.0 * axis, heads).all()
+    # by pair sum, and in grid order within one
+    assert (np.sort(order) == np.arange(i.size)).all()
+    assert (np.diff(pair[order]) >= 0).all()
+    assert (np.diff(order)[np.diff(pair[order]) == 0] > 0).all()
 
 
 def _direct_curvature_slab(axis, i, margin):
@@ -178,29 +189,34 @@ def _direct_cube(axis, direct_slab):
 
 @pytest.mark.parametrize("step, margin", SLAB_GRIDS)
 def test_slabs_match_direct_evaluation(step, margin):
-    # a slab holds rows j >= i; the rows it leaves out have no grid point,
-    # and its row count is the one the slab maker reports
-    def check(axis, slab, counts, direct_slab):
+    # every listed row i <= j evaluates bitwise to the direct one, a row left
+    # out holds +inf alone, and each bucket is rows of one pair sum whose
+    # bound is at most every value in it
+    def check(made, direct_slab, bucket):
+        axis, i, j, order, starts, lows, values = made
         cube = _direct_cube(axis, direct_slab)
-        for i in range(axis.size):
-            rows = slab(i)
-            if rows is None:
-                assert counts[i] == 0
-                assert (cube[i, i:] == np.inf).all()
-                continue
-            assert counts[i] == rows[1].shape[0]
-            first, values = rows
-            last = first + values.shape[0]
-            assert i <= first < last <= axis.size
-            assert values.shape[1] == axis.size
-            assert (_bits(values) == _bits(cube[i, first:last])).all()
-            assert (cube[i, i:first] == np.inf).all()
-            assert (cube[i, last:] == np.inf).all()
+        assert (i <= j).all() and np.unique(order).size == order.size
+        left_out = np.ones(i.size, dtype=bool)
+        left_out[order] = False
+        assert (cube[i[left_out], j[left_out]] == np.inf).all()
+        pair = _pair_sum_table(axis)[3]
+        stops = np.append(starts[1:], order.size)
+        for b, (start, stop) in enumerate(zip(starts, stops)):
+            rows = order[start:stop]
+            assert 0 < rows.size <= bucket
+            assert (pair[rows] == pair[rows[0]]).all()
+            block = values(rows)
+            assert block.shape == (rows.size, axis.size)
+            assert (_bits(block) == _bits(cube[i[rows], j[rows]])).all()
+            assert lows[b] <= block.min()
 
-    axis, slab, counts = _curvature_slabs(step, margin)
-    check(axis, slab, counts, lambda axis, i: _direct_curvature_slab(axis, i, margin))
-    axis, slab, counts = _negated_angle_sum_slabs(step)
-    check(axis, slab, counts, _direct_angle_slab)
+    for bucket in (1, 3, 64):
+        check(
+            _curvature_rows(step, margin, bucket),
+            lambda axis, i: _direct_curvature_slab(axis, i, margin),
+            bucket,
+        )
+        check(_negated_angle_sum_rows(step, bucket), _direct_angle_slab, bucket)
 
 
 @pytest.mark.parametrize("step, margin", SLAB_GRIDS)
@@ -215,7 +231,7 @@ def test_direct_slabs_are_mirror_images(step, margin):
     assert (_bits(cube) == _bits(cube.transpose(1, 0, 2))).all()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bucket", [1, 2, 3])
 @pytest.mark.parametrize(
     "scan, step, threshold",
     [
@@ -225,18 +241,19 @@ def test_direct_slabs_are_mirror_images(step, margin):
         ("angle", 0.13, -0.05),
     ],
 )
-def test_scans_match_brute_force(scan, step, threshold, workers):
+def test_scans_match_brute_force(monkeypatch, scan, step, threshold, bucket):
     # the whole n^3 cube, with violations both on the diagonal j == i and off it
+    monkeypatch.setattr(checks, "_BUCKET_ROWS", bucket)
     if scan == "curvature":
         axis = _grid_axis(0.5 * math.pi - 0.05, step)
         cube = _direct_cube(axis, lambda axis, i: _direct_curvature_slab(axis, i, 0.05))
         bound, offset = threshold, 0.0
-        result = curvature_positivity_scan(step, 0.05, threshold, workers)
+        result = curvature_positivity_scan(step, 0.05, threshold)
     else:
         axis = _grid_axis(math.pi, step)
         cube = _direct_cube(axis, _direct_angle_slab)
         bound, offset = -(math.pi + threshold), math.pi
-        result = angle_sum_max_scan(step, threshold, workers)
+        result = angle_sum_max_scan(step, threshold)
     hits = cube < bound
     diagonal = np.arange(axis.size)
     assert hits[diagonal, diagonal].any()
@@ -250,47 +267,55 @@ def test_scans_match_brute_force(scan, step, threshold, workers):
     )
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize(
-    "make_slabs, params",
-    [
-        (_curvature_slabs, (0.01, 0.05)),
-        (_curvature_slabs, (0.03, 0.3)),
-        (_negated_angle_sum_slabs, (0.02,)),
-        (_negated_angle_sum_slabs, (0.1,)),
-    ],
-)
-def test_scan_chunks_balance_work(monkeypatch, make_slabs, params, workers):
-    # row i evaluates its slab rows of n points each and looks them up in
-    # one more row's worth; an even split of the rows i gave the first of
-    # two workers about 3/4 of the angle scan's points
-    chunks = []
+@pytest.mark.parametrize("scan", ["curvature", "angle"])
+def test_bounded_scan_matches_brute_force_on_random_grids(scan):
+    # random small grids, bucket sizes and bounds through the driver itself:
+    # the bound at the exact minimum (the count is strict), one float above
+    # it (every tied minimum counts), at a grid value and past every value
+    rng = np.random.default_rng(18 if scan == "angle" else 19)
+    split_ties = 0
+    for _ in range(8):
+        bucket = int(rng.choice([1, 2, 3, 5, 8, 64]))
+        if scan == "curvature":
+            margin = rng.uniform(0.05, 0.6)
+            made = _curvature_rows(rng.uniform(0.06, 0.2), margin, bucket)
+            cube = _direct_cube(
+                made[0], lambda axis, i: _direct_curvature_slab(axis, i, margin)
+            )
+        else:
+            made = _negated_angle_sum_rows(rng.uniform(0.1, 0.3), bucket)
+            cube = _direct_cube(made[0], _direct_angle_slab)
+        axis, i, j, order, starts = made[:5]
+        first = np.unravel_index(np.argmin(cube), cube.shape)
+        low = float(cube[first])
+        point = tuple(float(axis[n]) for n in first)
+        finite = cube[np.isfinite(cube)]
+        for bound in (low, math.nextafter(low, math.inf), rng.choice(finite), math.inf):
+            count = int((cube < bound).sum())
+            assert _min_scan(*made, float(bound)) == (low, point, count)
+        # the rows tied at the minimum, by the bucket holding each
+        buckets = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+        tied = cube[i[order], j[order]].min(axis=1) == low
+        split_ties += np.unique(buckets[tied]).size > 1
+    # the angle scan's plateau at pi ties whole rows exactly
+    assert split_ties >= 2 or scan == "curvature"
 
-    def record(func, args, workers):
-        chunks.extend((start, stop) for start, stop, *_ in args)
-        return [func(a) for a in args]
 
-    monkeypatch.setattr(checks, "_run_chunks", record)
-    checks._min_scan(make_slabs, params, 0.0, workers)
-    axis, _, rows = make_slabs(*params)
-    n = axis.size
-    assert len(chunks) == workers
-    assert chunks[0][0] == 0 and chunks[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    work = [n * int((rows[start:stop] + 1).sum()) for start, stop in chunks]
-    row = n * int(rows.max() + 1)  # the largest row's worth
-    share = sum(work) / workers
-    assert all(abs(w - share) <= row for w in work)
-    if workers == 2:
-        assert max(work) - min(work) <= row
+def test_curvature_scan_rejects_empty_grid():
+    # |g_i| <= 0.07 keeps every total below pi/2 + margin
+    with pytest.raises(DomainError, match="scan grid is empty"):
+        curvature_positivity_scan(step=0.01, margin=1.5)
 
 
 def test_chunk_ranges_one_worker_and_even_costs():
-    assert _chunk_ranges(100 - np.arange(100), 1) == [(0, 100)]
+    assert _chunk_ranges(100, 1) == [(0, 100)]
     # too few indices for every worker to get 4: one chunk
-    assert _chunk_ranges(np.ones(7), 2) == [(0, 7)]
-    sizes = [stop - start for start, stop in _chunk_ranges(np.ones(103), 4)]
-    assert sum(sizes) == 103 and max(sizes) - min(sizes) <= 1
+    assert _chunk_ranges(7, 2) == [(0, 7)]
+    chunks = _chunk_ranges(103, 4)
+    assert chunks[0][0] == 0 and chunks[-1][1] == 103
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    sizes = [stop - start for start, stop in chunks]
+    assert len(sizes) == 4 and max(sizes) - min(sizes) <= 1
 
 
 @pytest.fixture
@@ -321,20 +346,18 @@ def pool_sizes(monkeypatch):
     [(10_000, 3, 2, 2), (2, 5, 8, 2), (9, 3, 16, 3), (8, 3, None, 1)],
 )
 def test_run_chunks_caps_the_pool(monkeypatch, pool_sizes, workers, chunks, cpus, size):
-    monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(quantum.os, "cpu_count", lambda: cpus)
     args = list(range(-chunks, 0))
-    assert checks._run_chunks(abs, args, workers) == [-a for a in args]
+    assert quantum._run_chunks(abs, args, workers) == [-a for a in args]
     assert pool_sizes == [size]
 
 
 def test_sample_pool_is_capped_and_rows_unchanged(monkeypatch, pool_sizes):
     # 100 workers split 400 rows into 100 chunks, which share 2 CPUs
-    from corrset.quantum import sample_correlations
-
-    monkeypatch.setattr(checks.os, "cpu_count", lambda: 2)
-    rows = sample_correlations(400, seed=5, workers=100)
+    monkeypatch.setattr(quantum.os, "cpu_count", lambda: 2)
+    rows = quantum.sample_correlations(400, seed=5, workers=100)
     assert pool_sizes == [2]
-    assert (rows == sample_correlations(400, seed=5)).all()
+    assert (rows == quantum.sample_correlations(400, seed=5)).all()
 
 
 def test_scan_rejects_bad_parameters():

@@ -281,6 +281,14 @@ def test_check_lemmas_passes(capsys):
     assert "vertex-oracle-agreement" in names
 
 
+def test_check_lemmas_output_ignores_parallel(capsys):
+    # the scans run in one process; --parallel is accepted and changes nothing
+    argv = ("check-lemmas", "--step", "0.05", "--samples", "2000")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--parallel", "2") == (0, out, "")
+
+
 def test_check_lemmas_self_test_fail(capsys):
     code, out, err = run(
         capsys,

@@ -94,6 +94,23 @@ def test_realize_mixture_is_two_by_two_for_any_term_count():
         assert np.diagonal(r.state).all()
 
 
+def test_decomposition_is_reconstructed_once(monkeypatch):
+    # decompose checks the mixture's vector and realize_mixture realizes the
+    # same one: each generator is evaluated once, not twice
+    calls = []
+    components = GeneratorPoint._components
+
+    def counted(g):
+        calls.append(g)
+        return components(g)
+
+    monkeypatch.setattr(GeneratorPoint, "_components", counted)
+    d = decompose(CorrelationVector(0.5, 0.3, 0.2, -0.1))
+    r = realize_mixture(d)
+    assert len(calls) == len(d.terms)
+    assert expectation(r).as_tuple() == pytest.approx(d.reconstruct().as_tuple())
+
+
 def test_realize_mixture_reproduces_mixture():
     rng = np.random.default_rng(5)
     for _ in range(100):
