@@ -301,6 +301,76 @@ def test_bounded_scan_matches_brute_force_on_random_grids(scan):
     assert split_ties >= 2 or scan == "curvature"
 
 
+@pytest.mark.parametrize(
+    "scan, listed, at_most",
+    [("curvature", 21_756, 3_840), ("angle", 49_770, 128)],
+)
+def test_bounded_scan_prunes_the_default_grids(scan, listed, at_most):
+    # the bounds leave all but a few rows unevaluated, each row once at most,
+    # and the result is still the pinned one
+    if scan == "curvature":
+        made = _curvature_rows(0.01, 0.05, checks._BUCKET_ROWS)
+        bound, offset = CURVATURE_THRESHOLD, 0.0
+        expected = ScanResult(0.01, 48.00691003067614, (0.7892036732051035,) * 3, 0)
+    else:
+        made = _negated_angle_sum_rows(0.02, checks._BUCKET_ROWS)
+        bound, offset = -(math.pi + ANGLE_SUM_THRESHOLD), math.pi
+        expected = ScanResult(0.02, -1.554312234475219e-14, ANGLE_SUM_ARGMAX, 0)
+    evaluated = []
+
+    def values(rows):
+        evaluated.append(rows)
+        return made[-1](rows)
+
+    best, point, violations = _min_scan(*made[:-1], values, bound)
+    assert ScanResult(expected.grid_step, offset + best, point, violations) == expected
+    rows = np.concatenate(evaluated)
+    assert made[3].size == listed
+    assert np.unique(rows).size == rows.size <= at_most
+
+
+def test_min_scan_stop_rule_ties_and_mirror_counts(monkeypatch):
+    # six rows i <= j over a three-point axis, one bucket each, run one at a
+    # time; row (1, 1) has the loosest low, so it runs first
+    monkeypatch.setattr(checks, "_BLOCK_ROWS", 1)
+    axis = np.array([0.0, 1.0, 2.0])
+    i, j = np.triu_indices(3)
+    table = np.array(
+        [
+            [5.0, 6.0, 7.0],  # (0, 0)
+            [4.0, 2.0, 1.0],  # (0, 1): ties (1, 1) and comes first in grid order
+            [3.0, 3.5, 3.0],  # (0, 2)
+            [1.0, 1.5, 9.0],  # (1, 1)
+            [8.0, 8.0, 8.0],  # (1, 2)
+            [9.0, 9.0, 9.0],  # (2, 2)
+        ]
+    )
+    lows = np.array([5.0, 1.0, 3.0, 0.5, 8.0, 9.0])
+    order = starts = np.arange(6)
+    evaluated = []
+
+    def values(rows):
+        evaluated.extend(rows.tolist())
+        return table[rows]
+
+    def scan(bound):
+        evaluated.clear()
+        return _min_scan(axis, i, j, order, starts, lows, values, bound)
+
+    # a low equal to the best value still runs, since it may hold an earlier
+    # tie; a row j > i counts twice, a diagonal row once
+    assert scan(2.0) == (1.0, (0.0, 1.0, 2.0), 2 * 1 + 1 * 2)
+    assert evaluated == [3, 1]
+    # a bound above a low makes its row run; the count below it is strict
+    assert scan(3.0) == (1.0, (0.0, 1.0, 2.0), 2 * 2 + 1 * 2)
+    assert evaluated == [3, 1, 2]
+    assert scan(3.25) == (1.0, (0.0, 1.0, 2.0), 2 * 2 + 1 * 2 + 2 * 2)
+    assert evaluated == [3, 1, 2]
+    # past every value, every row runs and every point counts
+    assert scan(math.inf) == (1.0, (0.0, 1.0, 2.0), 27)
+    assert sorted(evaluated) == list(range(6))
+
+
 def test_curvature_scan_rejects_empty_grid():
     # |g_i| <= 0.07 keeps every total below pi/2 + margin
     with pytest.raises(DomainError, match="scan grid is empty"):
