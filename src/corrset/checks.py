@@ -135,10 +135,17 @@ def lvt_oracle_batch(
     chsh_value = membership._row_max(membership.chsh_combinations(xs))
     facet_value = np.maximum(box_value, 0.5 * chsh_value)
 
-    disagreement = float(np.max(np.abs(vertex_value - facet_value)))
-    if disagreement > _PATH_AGREEMENT_TOLERANCE:
+    gap = np.abs(vertex_value - facet_value)
+    if np.max(gap) > _PATH_AGREEMENT_TOLERANCE:
+        # the first disagreeing row, counted over the leading axes
+        row = int(np.argmax(gap.reshape(-1) > _PATH_AGREEMENT_TOLERANCE))
+        point = ", ".join(repr(float(v)) for v in xs.reshape(-1, 4)[row])
+        vertex = float(vertex_value.reshape(-1)[row])
+        facet = float(facet_value.reshape(-1)[row])
         raise InternalCheckError(
-            f"vertex and facet oracle paths disagree by {disagreement:.3e}"
+            f"vertex and facet oracle paths disagree by {abs(vertex - facet):.3e} "
+            f"at row {row}, x = ({point}): vertex value {vertex!r}, "
+            f"facet value {facet!r}"
         )
     return vertex_value <= 1.0 + 0.5 * tolerance
 

@@ -48,6 +48,9 @@ _ENV_TOLERANCE = "CORRSET_TOLERANCE"
 _MU_BAND = 1e-7
 _REALIZE_RESIDUAL_BOUND = 1e-8
 _SLICE_RELATION_TOLERANCE = 1e-9
+# rows per draw of the sampled checks; a block's largest temporary, the
+# (rows, 8) sign-pattern sums, is then 0.5 MB
+_CHECK_BLOCK = 8192
 
 
 def _format_float(value: float) -> str:
@@ -281,15 +284,39 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mu_equivalence_check(samples: int, seed: int, tolerance: float) -> dict:
+def _blocked_count(samples: int, seed: int, count) -> int:
+    """Sum `count(points)` over `samples` uniform draws from the box.
+
+    The draws come from `default_rng(seed)`, `_CHECK_BLOCK` rows at a time.
+    Consecutive `uniform` calls on one generator give the same floats as one
+    call for all rows, and each check acts on every row alone, so the total
+    is the one-draw count while the temporaries stay the size of one block.
+    """
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-1.0, 1.0, size=(samples, 4))
-    q_margins = membership.quantum_margins(points)
-    c_margins = membership.classical_margins(membership.mu_array(points))
-    verdict_q = q_margins >= -tolerance
-    verdict_c = c_margins >= -tolerance
-    off_band = np.abs(q_margins) > _MU_BAND
-    disagreements = int((verdict_q != verdict_c)[off_band].sum())
+    total = 0
+    for start in range(0, samples, _CHECK_BLOCK):
+        rows = min(_CHECK_BLOCK, samples - start)
+        total += count(rng.uniform(-1.0, 1.0, size=(rows, 4)))
+    return total
+
+
+def _mu_equivalence_check(samples: int, seed: int, tolerance: float) -> dict:
+    """Check that x is in Q exactly when mu(x) is in C.
+
+    The points are `samples` uniform draws of seed `seed`, checked a block at
+    a time by `_blocked_count`.  Verdicts within `_MU_BAND` of the arcsine
+    bound are not compared.
+    """
+
+    def block_disagreements(points: np.ndarray) -> int:
+        q_margins = membership.quantum_margins(points)
+        c_margins = membership.classical_margins(membership.mu_array(points))
+        verdict_q = q_margins >= -tolerance
+        verdict_c = c_margins >= -tolerance
+        off_band = np.abs(q_margins) > _MU_BAND
+        return int((verdict_q != verdict_c)[off_band].sum())
+
+    disagreements = _blocked_count(samples, seed, block_disagreements)
     return {
         "name": "mu-equivalence",
         "passed": disagreements == 0,
@@ -299,11 +326,19 @@ def _mu_equivalence_check(samples: int, seed: int, tolerance: float) -> dict:
 
 
 def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
-    rng = np.random.default_rng(seed + 1)
-    points = rng.uniform(-1.0, 1.0, size=(samples, 4))
-    facet = membership.classical_margins(points) >= -tolerance
-    vertex = checks.lvt_oracle_batch(points, tolerance)
-    disagreements = int((facet != vertex).sum())
+    """Check that the facet and vertex descriptions of C agree.
+
+    The points are `samples` uniform draws of seed `seed + 1`, checked a
+    block at a time by `_blocked_count`; `checks.lvt_oracle_batch` also
+    compares its two support values on every block.
+    """
+
+    def block_disagreements(points: np.ndarray) -> int:
+        facet = membership.classical_margins(points) >= -tolerance
+        vertex = checks.lvt_oracle_batch(points, tolerance)
+        return int((facet != vertex).sum())
+
+    disagreements = _blocked_count(samples, seed + 1, block_disagreements)
     return {
         "name": "vertex-oracle-agreement",
         "passed": disagreements == 0,
@@ -318,6 +353,8 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
         raise DomainError("check-lemmas emits nested results and supports only json")
     if args.samples < 1:
         raise DomainError(f"sample count must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise DomainError(f"check-lemmas seed must be non-negative, got {args.seed}")
     hessian_step = args.hessian_step if args.step is None else args.step
     angle_step = args.anglesum_step if args.step is None else args.step
     # refuse either grid before the other scan runs

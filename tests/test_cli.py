@@ -1,12 +1,14 @@
 """CLI tests, driven through main() so exit codes and streams are visible."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from corrset import cli, membership
+from corrset import checks, cli, membership
 from corrset.cli import main
 from corrset.corrvec import CanonicalForm, CorrelationVector
 from corrset.geometry import decompose
@@ -329,6 +331,163 @@ def test_check_lemmas_rejects_bad_samples_and_step(capsys):
         assert out == ""
         assert err.startswith("error: ")
         assert argv[1] in err
+
+
+def test_check_lemmas_rejects_negative_seed(capsys, monkeypatch):
+    # default_rng refuses a negative seed; the refusal comes before any scan
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", no_scan)
+    monkeypatch.setattr(cli.checks, "angle_sum_max_scan", no_scan)
+    for seed in ("-1", "-5"):
+        code, out, err = run(capsys, "check-lemmas", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert seed in err
+        assert "Traceback" not in err
+
+
+def _one_draw_mu_check(samples, seed, tolerance):
+    # the mu-equivalence check as one draw of all samples
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 4))
+    q_margins = membership.quantum_margins(points)
+    c_margins = membership.classical_margins(membership.mu_array(points))
+    verdict_q = q_margins >= -tolerance
+    verdict_c = c_margins >= -tolerance
+    off_band = np.abs(q_margins) > cli._MU_BAND
+    disagreements = int((verdict_q != verdict_c)[off_band].sum())
+    return {
+        "name": "mu-equivalence",
+        "passed": disagreements == 0,
+        "samples": samples,
+        "disagreements_outside_band": disagreements,
+    }
+
+
+def _one_draw_oracle_check(samples, seed, tolerance):
+    # the vertex-oracle-agreement check as one draw of all samples
+    rng = np.random.default_rng(seed + 1)
+    points = rng.uniform(-1.0, 1.0, size=(samples, 4))
+    facet = membership.classical_margins(points) >= -tolerance
+    vertex = checks.lvt_oracle_batch(points, tolerance)
+    disagreements = int((facet != vertex).sum())
+    return {
+        "name": "vertex-oracle-agreement",
+        "passed": disagreements == 0,
+        "samples": samples,
+        "disagreements": disagreements,
+    }
+
+
+# at tolerance 0.3, seed 3 and 20,000 samples the mu check counts 256
+# disagreements, 110 + 107 + 39 over its three blocks
+@pytest.mark.parametrize("tolerance", [1e-9, 0.3])
+@pytest.mark.parametrize(
+    "samples",
+    [1, cli._CHECK_BLOCK - 1, cli._CHECK_BLOCK, cli._CHECK_BLOCK + 1, 20_000],
+)
+def test_blocked_checks_match_one_draw(samples, tolerance):
+    for seed in (0, 3):
+        assert cli._mu_equivalence_check(
+            samples, seed, tolerance
+        ) == _one_draw_mu_check(samples, seed, tolerance)
+        assert cli._oracle_agreement_check(
+            samples, seed, tolerance
+        ) == _one_draw_oracle_check(samples, seed, tolerance)
+
+
+def test_check_lemmas_loose_tolerance_output_pinned(capsys):
+    code, out, err = run(
+        capsys,
+        "check-lemmas",
+        "--step", "0.2",
+        "--seed", "3",
+        "--samples", "20000",
+        "--tolerance", "0.3",
+    )
+    assert code == 1
+    assert err == "failed checks: mu-equivalence\n"
+    digest = hashlib.md5(out.encode("utf-8")).hexdigest()
+    assert digest == "bb51772d5b13429da0cf586b4206b04c"
+
+
+def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
+    # the benchmark's tracer counts rows through these four module attributes;
+    # their blocks, in call order, are the one-draw points of each check
+    samples = 2 * cli._CHECK_BLOCK + 5
+    seen = {}
+
+    def recording(owner, name):
+        func = getattr(owner, name)
+
+        def wrapper(points, *args):
+            assert len(points) <= cli._CHECK_BLOCK
+            seen.setdefault(name, []).append(points)
+            return func(points, *args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("quantum_margins", "classical_margins", "mu_array"):
+        recording(membership, name)
+    recording(checks, "lvt_oracle_batch")
+    code, _, _ = run(
+        capsys,
+        "check-lemmas", "--step", "0.2", "--seed", "4", "--samples", str(samples),
+    )
+    assert code == 0
+    rows = {name: sum(map(len, blocks)) for name, blocks in seen.items()}
+    assert rows == {
+        "quantum_margins": samples,
+        "classical_margins": 2 * samples,
+        "mu_array": samples,
+        "lvt_oracle_batch": samples,
+    }
+    for name, seed in (("quantum_margins", 4), ("lvt_oracle_batch", 5)):
+        drawn = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 4))
+        assert np.array_equal(np.concatenate(seen[name]), drawn)
+
+
+def _traced_peak(check, samples):
+    check(1, 0, 1e-9)  # one-time allocations of a first call are not the check's
+    tracemalloc.start()
+    try:
+        check(samples, 0, 1e-9)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "check", [cli._mu_equivalence_check, cli._oracle_agreement_check]
+)
+def test_sampled_check_memory_does_not_grow_with_samples(check):
+    # numpy reports its buffers to tracemalloc
+    assert _traced_peak(check, 400_000) <= _traced_peak(check, 20_000) + 2**20
+
+
+def test_oracle_path_disagreement_names_its_row(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "_VERTEX_BASIS", 2.0 * checks._VERTEX_BASIS)
+    points = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, -0.2, 0.3, 0.25]])
+    vertex = float(np.abs(points @ checks._VERTEX_BASIS.T / 4.0).sum(axis=-1)[1])
+    facet = float(
+        max(np.abs(points[1]).max(), 0.5 * membership.chsh_combinations(points)[1].max())
+    )
+    with pytest.raises(cli.InternalCheckError) as info:
+        checks.lvt_oracle_batch(points)
+    message = str(info.value)
+    assert message == (
+        f"vertex and facet oracle paths disagree by {abs(vertex - facet):.3e} "
+        f"at row 1, x = (0.1, -0.2, 0.3, 0.25): vertex value {vertex!r}, "
+        f"facet value {facet!r}"
+    )
+
+    code, out, err = run(capsys, "check-lemmas", "--step", "0.2", "--samples", "100")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: vertex and facet oracle paths disagree by ")
+    assert "vertex value " in err and "facet value " in err
 
 
 @pytest.mark.parametrize("flag", ["--anglesum-step", "--hessian-step"])
