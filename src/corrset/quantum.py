@@ -44,8 +44,9 @@ calls: an int seeds as its 32-bit words, low word first, 0 as one word;
 threshold 0, so each bit is the top bit of a half, low half first.  An odd
 d leaves the high half of a word unused; the next pattern begins with it,
 as PCG64 keeps it across the normal draws between.  After the draws, the
-algebra runs once over a block of at most `_SAMPLE_BLOCK` indices, each
-step acting on every index alone through the same per-matrix BLAS and
+algebra runs once per block, the indices whose normals fit in
+`_SAMPLE_BLOCK_BYTES`, which bounds a block's memory at any dims.  Each
+step acts on every index alone through the same per-matrix BLAS and
 LAPACK calls, so a row depends neither on its block, chunk or worker count
 nor on sampling order; `sample_quantum` is the block of one.
 """
@@ -72,8 +73,10 @@ _IMAGINARY_TOLERANCE = 1e-10
 MIN_LOCAL_DIMENSION = 2
 MAX_LOCAL_DIMENSION = 8
 
-# Indices per batched sampling kernel call; rows do not depend on it.
-_SAMPLE_BLOCK = 32
+# Bytes of float64 normals per batched sampling kernel call.  Each call has
+# a fixed cost, so blocks are large; the cap is in bytes, as the best index
+# count depends on the dims.  Rows do not depend on it.
+_SAMPLE_BLOCK_BYTES = 2**20
 
 # |psi><psi| for |psi> = (H x I)|Phi+> = (|00> + |01> + |10> - |11>)/2
 _PAIR_STATE = 0.25 * np.outer((1, 1, 1, -1), (1, 1, 1, -1)).astype(complex)
@@ -453,10 +456,12 @@ def sample_quantum(
     The state is a Haar-like random pure state (normalized complex
     Gaussian); observables conjugate random +-1 eigenvalue patterns by
     Haar unitaries.  Deterministic in (seed, index); see the module
-    docstring for the exact stream layout.  A negative index raises
-    DomainError.
+    docstring for the exact stream layout.  `seed` and `index` are
+    integers, numpy's included (a float raises TypeError); a negative
+    index raises DomainError.
     """
     _check_dims(dim_a, dim_b)
+    seed = operator.index(seed)
     index = operator.index(index)
     if index < 0:
         raise DomainError(f"sample index must be nonnegative, got {index}")
@@ -466,11 +471,19 @@ def sample_quantum(
     return CorrelationVector(*values[0].tolist()), realization
 
 
+def _sample_block_size(dim_a: int, dim_b: int) -> int:
+    """Indices per kernel call: their state and matrix normals take 16 bytes
+    per complex entry (3276 indices at 2x2, 524 at 5x5, 204 at 8x8)."""
+    per_index = 16 * (dim_a * dim_b + 2 * dim_a * dim_a + 2 * dim_b * dim_b)
+    return max(1, _SAMPLE_BLOCK_BYTES // per_index)
+
+
 def _sample_chunk(args: tuple[int, int, int, int, int]) -> np.ndarray:
     start, stop, dim_a, dim_b, seed = args
     out = np.empty((stop - start, 4))
-    for low in range(start, stop, _SAMPLE_BLOCK):
-        high = min(low + _SAMPLE_BLOCK, stop)
+    block = _sample_block_size(dim_a, dim_b)
+    for low in range(start, stop, block):
+        high = min(low + block, stop)
         out[low - start:high - start] = _sample_block(
             dim_a, dim_b, seed, low, high
         )[2]
@@ -510,9 +523,11 @@ def sample_correlations(
     """Correlation vectors of `count` random strategies, shape (count, 4).
 
     Row i equals sample_quantum(dim_a, dim_b, seed, index=i)[0]; per-index
-    seed splitting makes the result independent of `workers`.
+    seed splitting makes the result independent of `workers`.  `seed` is
+    an integer, numpy's included; a float raises TypeError.
     """
     _check_dims(dim_a, dim_b)
+    seed = operator.index(seed)
     if count < 0:
         raise DimensionError(f"count must be nonnegative, got {count}")
     args = [

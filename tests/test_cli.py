@@ -236,6 +236,22 @@ def test_sample_reproducible(capsys):
     assert len(data["vectors"]) == 6
 
 
+# md5 of the JSON stdout; rows are the same whatever the block size
+@pytest.mark.parametrize(
+    "count, dims, seed, digest",
+    [
+        ("300", "2,3", "5", "ce77898ebb1b9a11d90943e35b1bc82c"),
+        ("100", "8,8", "3", "3a7c2116bfd5ec5f4eec2c62ad669c5e"),
+        ("2500", "2,2", "11", "6ed70eed0a5f136e30315fcc2255a93a"),
+        ("700", "5,7", "2", "0d5954a1196bc7166360fca8cd3c87d6"),
+    ],
+)
+def test_sample_output_pinned(capsys, count, dims, seed, digest):
+    code, out, _ = run(capsys, "sample", count, "--dims", dims, "--seed", seed)
+    assert code == 0
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_sample_csv_summary_on_stderr(capsys):
     code, out, err = run(capsys, "sample", "4", "--seed", "1", "--format", "csv")
     assert code == 0

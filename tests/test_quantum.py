@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import runpy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corrset import quantum
 from corrset.checks import deterministic_strategy_vectors
 from corrset.corrvec import CorrelationVector, full_symmetry_group
 from corrset.errors import DimensionError, DomainError, InvariantViolationError
 from corrset.geometry import Decomposition, GeneratorPoint, decompose, face_segment
 from corrset.membership import chsh_combinations, quantum_margins
 from corrset.quantum import (
-    _SAMPLE_BLOCK,
+    _sample_block_size,
     _sample_draws,
     Realization,
     expectation,
@@ -545,13 +547,72 @@ def test_sample_correlations_matches_per_index():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("dims", [(2, 2), (3, 5)])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 5), (8, 8)])
 def test_sample_rows_do_not_depend_on_block(dims, workers):
-    count = 2 * _SAMPLE_BLOCK + 3
+    block = _sample_block_size(*dims)
+    count = 2 * block + 3
     rows = sample_correlations(count, *dims, seed=17, workers=workers)
-    for index in (_SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, count - 1):
+    for index in (block - 1, block, count - 1):
         x, _ = sample_quantum(*dims, seed=17, index=index)
         assert tuple(rows[index]) == x.as_tuple()
+
+
+def test_sample_block_size_is_a_byte_cap():
+    # 16 bytes per complex normal: the state's dim_a dim_b and the four
+    # matrices' 2 dim_a^2 + 2 dim_b^2
+    assert [_sample_block_size(d, d) for d in (2, 5, 8)] == [3276, 524, 204]
+    for dims in itertools.product(range(2, 9), repeat=2):
+        block = _sample_block_size(*dims)
+        per_index = 16 * (dims[0] * dims[1] + 2 * dims[0] ** 2 + 2 * dims[1] ** 2)
+        assert block * per_index <= quantum._SAMPLE_BLOCK_BYTES
+        assert (block + 1) * per_index > quantum._SAMPLE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("dims", list(itertools.product(range(2, 9), repeat=2)))
+def test_hundred_rows_are_one_kernel_call(monkeypatch, dims):
+    calls = []
+    kernel = quantum._sample_block
+
+    def counting(*args):
+        calls.append(args[3:])
+        return kernel(*args)
+
+    monkeypatch.setattr(quantum, "_sample_block", counting)
+    sample_correlations(100, *dims, seed=3)
+    assert calls == [(0, 100)]
+
+
+def test_sample_memory_is_bounded_by_the_block():
+    dims = (8, 8)
+    block = _sample_block_size(*dims)
+    sample_correlations(block, *dims, seed=1)  # warm-up: numpy's lazy set-up
+    peaks = []
+    for count in (2 * block, 8 * block):
+        tracemalloc.start()
+        try:
+            sample_correlations(count, *dims, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one block's temporaries at either count, plus the larger (count, 4) result
+    assert peaks[1] <= peaks[0] + 2**20 + 8 * block * 4 * 8
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.int64(-3), np.uint64(7)])
+def test_sampling_takes_numpy_integer_seeds(seed):
+    x, r = sample_quantum(2, 3, seed=seed, index=2)
+    want_x, want_r = sample_quantum(2, 3, seed=int(seed), index=2)
+    assert x == want_x
+    assert np.array_equal(r.state, want_r.state)
+    rows = sample_correlations(5, 2, 2, seed=seed)
+    assert np.array_equal(rows, sample_correlations(5, 2, 2, seed=int(seed)))
+
+
+def test_sampling_refuses_a_float_seed():
+    with pytest.raises(TypeError):
+        sample_quantum(seed=5.0)
+    with pytest.raises(TypeError):
+        sample_correlations(3, seed=5.0)
 
 
 def _documented_draws(dim_a, dim_b, seed, index):
