@@ -82,6 +82,10 @@ _BLOCK_ROWS = 128
 # Rows per bucket.  A bucket costs one corner row and is evaluated whole or
 # not at all; at the default grids 32 to 128 scan fastest, 4 about 30% slower.
 _BUCKET_ROWS = 64
+# Cap on the n x n float64 lower bound of a scan's (pair sums, n) table of
+# totals, its largest array; a finer grid is refused before any allocation.
+# The default angle step 0.02 needs 0.8 MB of it and a step of 1e-3 0.3 GB.
+_MAX_TABLE_BYTES = 2**32  # 4 GiB
 
 CURVATURE_THRESHOLD = -1e-9
 ANGLE_SUM_THRESHOLD = 1e-9
@@ -387,13 +391,12 @@ def _check_scan_params(step: float, margin: float | None) -> None:
     # the largest array a scan builds is its (pair sums, n) table of totals;
     # the pair sums include the n exact doubles 2 axis[i], so it holds at
     # least n x n float64, more than the n(n + 1)/2 half-grid rows of 8
-    # bytes each or np.triu_indices's n x n mask of one; numpy allocates no
-    # array of more bytes than its index type counts, which also bounds the
-    # axis itself
-    if count * count * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+    # bytes each or np.triu_indices's n x n mask of one, and far more than
+    # the axis itself
+    if count * count * np.dtype(float).itemsize > _MAX_TABLE_BYTES:
         raise DomainError(
             f"step {step!r} gives {count:.4g} grid points per axis, too many "
-            "to allocate the (pair sums, n) table of totals"
+            "for the (pair sums, n) table of totals within its 4 GiB cap"
         )
 
 

@@ -48,12 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrvec import (
-    DEFAULT_TOLERANCE,
-    CorrelationVector,
-    SymmetryOp,
-    canonicalize,
-)
+from .corrvec import DEFAULT_TOLERANCE, CorrelationVector, SymmetryOp, canonicalize
+from .corrvec import _COMPONENT_NAMES, _unchecked
 from .errors import InternalCheckError, NotInQuantumSetError, PreconditionError
 
 _TWO_PI = 2.0 * math.pi
@@ -73,8 +69,11 @@ def reduce_angle(phi: float) -> float:
 class GeneratorPoint:
     """One extremal generator, stored by its three defining angles.
 
-    Angles are reduced to (-pi, pi] on construction; evaluation only feeds
-    them to sine, so the reduction never changes the generated vector.
+    Angles must be finite and are reduced to (-pi, pi] on construction;
+    evaluation only feeds them to sine, so the reduction never changes the
+    vector.  Generators `decompose` builds from its own finite floats
+    (`origin`, `_face_terms`, `angle_transport`, the boundary and curved
+    exits) skip the check through `_generator`, which reduces them alike.
     """
 
     phi1: float
@@ -91,7 +90,7 @@ class GeneratorPoint:
     @classmethod
     def origin(cls) -> "GeneratorPoint":
         """The zero generator G(0,0,0), evaluating to the origin."""
-        return cls(0.0, 0.0, 0.0)
+        return _generator(0.0, 0.0, 0.0)
 
     def evaluate(self) -> CorrelationVector:
         """The correlation vector this generator produces."""
@@ -145,14 +144,23 @@ class Decomposition:
         for w, g in self.terms:
             for i, v in enumerate(g._components()):
                 acc[i] += w * v
-        # convex combinations of box points can overshoot by float dust only
-        return CorrelationVector(*(min(1.0, max(-1.0, v)) for v in acc))
+        # convex combinations of box points can overshoot by float dust only;
+        # sums of finite terms from +0.0 are finite and never -0.0
+        clamped = (min(1.0, max(-1.0, v)) for v in acc)
+        return _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, clamped))
 
     def to_json_list(self) -> list[dict]:
         return [
             {"weight": w, "phi": [g.phi1, g.phi2, g.phi3]}
             for w, g in self.terms
         ]
+
+
+def _generator(phi1: float, phi2: float, phi3: float) -> GeneratorPoint:
+    """GeneratorPoint(phi1, phi2, phi3) for finite floats, bitwise, built
+    without the checks of `GeneratorPoint.__post_init__`."""
+    phis = (reduce_angle(phi1), reduce_angle(phi2), reduce_angle(phi3))
+    return _unchecked(GeneratorPoint, zip(("phi1", "phi2", "phi3"), phis))
 
 
 def generator_values(phis: np.ndarray) -> np.ndarray:
@@ -199,13 +207,12 @@ def _face_terms(
     A degenerate segment (endpoints closer than 1e-9, the reconstruction
     bound) gives a single term of weight 1.
     """
-    theta2 = math.asin(z[1])
-    theta3 = math.asin(z[2])
+    theta2, theta3 = math.asin(z[1]), math.asin(z[2])
     low, high = face_segment(z[1], z[2])
-    g_low = GeneratorPoint(0.5 * math.pi, theta2, theta3)
+    g_low = _generator(0.5 * math.pi, theta2, theta3)
     if high - low < _RECONSTRUCTION_TOLERANCE:
         return ((1.0, g_low),)
-    g_high = GeneratorPoint(0.5 * math.pi, theta2, math.pi - theta3)
+    g_high = _generator(0.5 * math.pi, theta2, math.pi - theta3)
     lam = min(1.0, max(0.0, (z[3] - low) / (high - low)))
     return tuple((w, g) for w, g in ((1.0 - lam, g_low), (lam, g_high)) if w > 0.0)
 
@@ -225,7 +232,7 @@ def angle_transport(op: SymmetryOp, g: GeneratorPoint) -> GeneratorPoint:
     """
     nus = (g.phi1, g.phi2, g.phi3, reduce_angle(-(g.phi1 + g.phi2 + g.phi3)))
     q = op.source_indices()
-    return GeneratorPoint(
+    return _generator(
         *(nus[q[i]] + (math.pi if op.signs[i] < 0 else 0.0) for i in range(3))
     )
 
@@ -332,8 +339,10 @@ def decompose(
     taken as a point of the curved boundary is decided against the fixed
     1e-9 reconstruction bound, and which exit the ray takes against pi
     itself: the face split clamps its weight, so a face point just outside
-    the set would leave its clamp in the residual.  The result reconstructs the input within 1e-9 per component; that bound is
-    verified before returning and its failure raises InternalCheckError.
+    the set would leave its clamp in the residual.  The result reconstructs
+    the input within 1e-9 per component; that bound is verified before
+    returning, and its failure raises InternalCheckError naming the input,
+    the residual and the exit taken: origin, boundary, face or curved.
     The check fails for inputs that a tolerance above 1e-9 admits although
     they lie outside the quantum set by more than 1e-9; it has not been
     seen to fail for members of the set.
@@ -352,23 +361,24 @@ def decompose(
     terms: tuple[tuple[float, GeneratorPoint], ...]
     if y[0] == 0.0:
         # the zero vector; s-order forces all components to vanish with y1
-        terms = ((1.0, GeneratorPoint.origin()),)
+        route, terms = "origin", ((1.0, GeneratorPoint.origin()),)
     elif f_y >= math.pi - _RECONSTRUCTION_TOLERANCE:
         # already on the curved boundary: single extremal term
-        terms = ((1.0, GeneratorPoint(*(math.asin(v) for v in y[:3]))),)
+        route, terms = "boundary", ((1.0, _generator(*map(math.asin, y[:3]))),)
     else:
         weight = y[0]  # of the exit point; the origin takes the rest
         # the face point: s-ordered, with z1 = 1 exactly
         z = (1.0, y[1] / y[0], y[2] / y[0], y[3] / y[0])
         if _arcsine_sum(z) <= math.pi:
             # the ray exits through the box face x1 = 1
+            route = "face"
             terms = tuple((w * weight, g) for w, g in _face_terms(z))
         else:
             # the ray exits through the curved boundary at sin(theta1) * z
             theta1 = _boundary_angle(z)
             (phi2, phi3, _), _ = _ray_arcsines(z, 0.5 * math.pi - theta1)
             weight = min(1.0, weight / math.sin(theta1))
-            terms = ((weight, GeneratorPoint(theta1, phi2, phi3)),)
+            route, terms = "curved", ((weight, _generator(theta1, phi2, phi3)),)
         if 1.0 - weight > 0.0:
             terms += ((1.0 - weight, GeneratorPoint.origin()),)
 
@@ -384,6 +394,7 @@ def decompose(
     if residual > _RECONSTRUCTION_TOLERANCE:
         raise InternalCheckError(
             f"decomposition residual {residual:.3e} exceeds "
-            f"{_RECONSTRUCTION_TOLERANCE:g} for input {x.as_tuple()!r}"
+            f"{_RECONSTRUCTION_TOLERANCE:g} for input {x.as_tuple()!r} "
+            f"at the {route} exit"
         )
     return result

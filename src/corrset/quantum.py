@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrvec import CorrelationVector
+from .corrvec import _COMPONENT_NAMES, CorrelationVector, _unchecked
 from .errors import DimensionError, DomainError, InvariantViolationError
 from .geometry import Decomposition
 
@@ -108,54 +108,62 @@ class Realization:
         the first failed check.
 
         Each party's two observables must share one (d, d) shape, checked
-        first.  After the state's shape, the observables are checked one
-        party at a time, A0 and A1 as one (2, d, d) stack, then B0 and B1,
-        for finiteness, Hermiticity and involution, with O^2 - I formed by
-        subtracting 1 on the diagonal.  Only when a party's stack fails are
-        its observables checked one by one, in the order A0, A1, B0, B1, to
-        name the first failed check.  The state is then checked for
-        finiteness, unit trace, Hermiticity and positivity, in that order.
+        first, then the state's shape.  The observables form one (4, d, d)
+        stack when both parties share d, as in every realization
+        `realize_mixture` builds, else one stack per party, and one pass
+        takes each one's largest |O - O^dagger| and |O^2 - I|.  A NaN or inf
+        fails one of those bounds, so only a failing stack is tested for
+        finiteness; the same arrays name the first failing observable (A0,
+        A1, B0, B1) and its first failed check (finite, Hermitian,
+        involution).  Then the state: finite, unit trace, Hermitian, PSD.
         """
-        parties = (
-            (("A0", "A1"), (self.a0, self.a1)),
-            (("B0", "B1"), (self.b0, self.b1)),
-        )
-        for names, pair in parties:
-            d = pair[0].shape[0]
-            for name, obs in zip(names, pair):
-                if obs.shape != (d, d):
-                    raise InvariantViolationError(
-                        f"check 'observable-shape' failed for {name}"
-                    )
+        names = ("A0", "A1", "B0", "B1")
+        observables = (self.a0, self.a1, self.b0, self.b1)
         dim_a, dim_b = self.dims
+        for name, obs, d in zip(names, observables, (dim_a, dim_a, dim_b, dim_b)):
+            if obs.shape != (d, d):
+                raise InvariantViolationError(
+                    f"check 'observable-shape' failed for {name}"
+                )
         joint = dim_a * dim_b
         if self.state.shape != (joint, joint):
             raise InvariantViolationError(
                 f"check 'state-shape' failed: state is {self.state.shape}, "
                 f"expected {(joint, joint)}"
             )
-        for names, pair in parties:
-            same_dtype = pair[0].dtype == pair[1].dtype
-            if same_dtype and _failed_observable_check(np.array(pair)) is None:
+        parts = [slice(0, 4)] if dim_a == dim_b else [slice(0, 2), slice(2, 4)]
+        for part in parts:
+            stack = np.array(observables[part])
+            with np.errstate(invalid="ignore"):  # NaN and inf fail below
+                skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+                square = stack @ stack
+            square.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] -= 1  # O^2 - I
+            residual = np.abs(square).max(axis=(1, 2))
+            if (
+                skew.max() <= _HERMITIAN_TOLERANCE
+                and residual.max() <= _INVOLUTION_TOLERANCE
+            ):
                 continue
-            for name, obs in zip(names, pair):
-                failed = _failed_observable_check(np.array([obs]))
-                if failed is not None:
-                    check, detail = failed
-                    raise InvariantViolationError(
-                        f"check '{check}' failed for {name}{detail}"
-                    )
-        state = np.ascontiguousarray(self.state)  # for the float view below
-        if not np.isfinite(state.view(float)).all():
+            passed = [np.isfinite(stack).all(axis=(1, 2))]
+            passed += [skew <= _HERMITIAN_TOLERANCE, residual <= _INVOLUTION_TOLERANCE]
+            # rows are observables and columns checks, so the first failure
+            # in row-major order is the one the message names
+            k, j = np.argwhere(~np.column_stack(passed))[0]
+            detail = f": |O^2 - I| = {residual[k]:.3e}" if j == 2 else ""
+            check = ("finite", "hermitian", "involution")[j]
+            raise InvariantViolationError(
+                f"check 'observable-{check}' failed for {names[part][k]}{detail}"
+            )
+        if not np.isfinite(self.state).all():
             raise InvariantViolationError("check 'state-finite' failed")
-        trace_residual = abs(np.trace(state) - 1.0)
+        trace_residual = abs(np.trace(self.state) - 1.0)
         if trace_residual > _TRACE_TOLERANCE:
             raise InvariantViolationError(
                 f"check 'state-trace' failed: |tr - 1| = {trace_residual:.3e}"
             )
-        if np.abs(state - state.conj().T).max() > _HERMITIAN_TOLERANCE:
+        if np.abs(self.state - self.state.conj().T).max() > _HERMITIAN_TOLERANCE:
             raise InvariantViolationError("check 'state-hermitian' failed")
-        smallest = float(np.linalg.eigvalsh(state)[0])
+        smallest = float(np.linalg.eigvalsh(self.state)[0])
         if smallest < -_PSD_TOLERANCE:
             raise InvariantViolationError(
                 "check 'state-positive' failed: smallest eigenvalue "
@@ -163,24 +171,16 @@ class Realization:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "state": _complex_matrix_to_json(self.state),
-            "A0": _complex_matrix_to_json(self.a0),
-            "A1": _complex_matrix_to_json(self.a1),
-            "B0": _complex_matrix_to_json(self.b0),
-            "B1": _complex_matrix_to_json(self.b1),
-            "dims": list(self.dims),
-        }
+        fields = _JSON_FIELDS.items()
+        matrices = {key: _complex_matrix_to_json(getattr(self, f)) for key, f in fields}
+        return {**matrices, "dims": list(self.dims)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Realization":
         try:
+            fields = _JSON_FIELDS.items()
             realization = cls(
-                state=_complex_matrix_from_json(data["state"]),
-                a0=_complex_matrix_from_json(data["A0"]),
-                a1=_complex_matrix_from_json(data["A1"]),
-                b0=_complex_matrix_from_json(data["B0"]),
-                b1=_complex_matrix_from_json(data["B1"]),
+                **{f: _complex_matrix_from_json(data[key]) for key, f in fields}
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvariantViolationError(
@@ -195,34 +195,17 @@ class Realization:
         return realization
 
 
-def _failed_observable_check(stack: np.ndarray) -> tuple[str, str] | None:
-    """The first of the finite, Hermitian and involution checks that a
-    (k, d, d) stack of observables fails, with the detail its message
-    carries, or None when every observable passes them."""
-    if not np.isfinite(stack.view(float)).all():
-        return "observable-finite", ""
-    if np.abs(stack - stack.conj().swapaxes(1, 2)).max() > _HERMITIAN_TOLERANCE:
-        return "observable-hermitian", ""
-    square = stack @ stack
-    square.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] -= 1  # O^2 - I
-    residual = np.abs(square).max()
-    if residual > _INVOLUTION_TOLERANCE:
-        return "observable-involution", f": |O^2 - I| = {residual:.3e}"
-    return None
+# JSON key of each field, in the order the JSON lists them
+_JSON_FIELDS = {"state": "state", "A0": "a0", "A1": "a1", "B0": "b0", "B1": "b1"}
 
 
 def _complex_matrix_to_json(matrix: np.ndarray) -> list:
     # row-major nesting, each entry as [re, im]
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in matrix
-    ]
+    return [[[float(e.real), float(e.imag)] for e in row] for row in matrix]
 
 
 def _complex_matrix_from_json(data: list) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
+    rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
     matrix = np.array(rows, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("matrix JSON must be a nested list of [re, im] pairs")
@@ -274,7 +257,8 @@ def expectation(
 
     Validates the realization invariants first (skippable for callers that
     just built a trusted one).  Each trace must be real within 1e-10; the
-    real parts are clamped to [-1, 1].
+    real parts are clamped to [-1, 1], and a NaN one raises
+    NonFiniteInputError.
     """
     if validate:
         realization.validate()
@@ -284,15 +268,20 @@ def expectation(
     b_obs = np.array((realization.b0, realization.b1))
     # tr(rho (A_a x B_b)) = sum rho[(i,j),(k,l)] A_a[k,i] B_b[l,j]
     values = np.einsum("ijkl,aki,blj->ab", rho, a_obs, b_obs).ravel()
-    worst = int(np.argmax(np.abs(values.imag)))
-    residue = float(values.imag[worst])
-    if abs(residue) > _IMAGINARY_TOLERANCE:
+    imaginary = np.abs(values.imag)
+    if imaginary.max() > _IMAGINARY_TOLERANCE:
+        worst = int(np.argmax(imaginary))
         raise InvariantViolationError(
             f"check 'expectation-real' failed: correlator x{worst + 1} "
             f"(A{worst // 2} B{worst % 2}) has imaginary residue "
-            f"{residue:.3e}"
+            f"{values.imag[worst]:.3e}"
         )
-    return CorrelationVector(*np.clip(values.real, -1.0, 1.0).tolist())
+    # max(nan, -1.0) is nan, so a NaN passes the clamp to the checked
+    # constructor, which names it; the other values need no check
+    clamped = [min(max(v, -1.0), 1.0) + 0.0 for v in values.real.tolist()]
+    if math.isnan(sum(clamped)):
+        return CorrelationVector(*clamped)
+    return _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, clamped))
 
 
 def _check_dims(dim_a: int, dim_b: int) -> None:
@@ -478,10 +467,9 @@ def _sample_block_size(dim_a: int, dim_b: int) -> int:
     return max(1, _SAMPLE_BLOCK_BYTES // per_index)
 
 
-def _sample_chunk(args: tuple[int, int, int, int, int]) -> np.ndarray:
-    start, stop, dim_a, dim_b, seed = args
+def _sample_chunk(args: tuple[int, int, int, int, int, int]) -> np.ndarray:
+    start, stop, dim_a, dim_b, seed, block = args
     out = np.empty((stop - start, 4))
-    block = _sample_block_size(dim_a, dim_b)
     for low in range(start, stop, block):
         high = min(low + block, stop)
         out[low - start:high - start] = _sample_block(
@@ -490,11 +478,11 @@ def _sample_chunk(args: tuple[int, int, int, int, int]) -> np.ndarray:
     return out
 
 
-def _chunk_ranges(size: int, workers: int) -> list[tuple[int, int]]:
+def _chunk_ranges(size: int, workers: int, block: int) -> list[tuple[int, int]]:
     """Split range(size) into contiguous (start, stop) pieces whose sizes
-    differ by at most 1: one per worker when every worker gets at least 4
-    indices, else one."""
-    pieces = workers if workers > 1 and size >= 4 * workers else 1
+    differ by at most 1: one per worker when each gets at least one kernel
+    block of `block` indices, else one, as a pool costs more than it saves."""
+    pieces = workers if workers > 1 and size >= block * workers else 1
     cuts = [size * k // pieces for k in range(pieces + 1)]
     return list(zip(cuts, cuts[1:]))
 
@@ -530,8 +518,9 @@ def sample_correlations(
     seed = operator.index(seed)
     if count < 0:
         raise DimensionError(f"count must be nonnegative, got {count}")
+    block = _sample_block_size(dim_a, dim_b)
     args = [
-        (start, stop, dim_a, dim_b, seed)
-        for start, stop in _chunk_ranges(count, workers)
+        (start, stop, dim_a, dim_b, seed, block)
+        for start, stop in _chunk_ranges(count, workers, block)
     ]
     return np.concatenate(_run_chunks(_sample_chunk, args, workers), axis=0)

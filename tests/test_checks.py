@@ -378,10 +378,12 @@ def test_curvature_scan_rejects_empty_grid():
 
 
 def test_chunk_ranges_one_worker_and_even_costs():
-    assert _chunk_ranges(100, 1) == [(0, 100)]
-    # too few indices for every worker to get 4: one chunk
-    assert _chunk_ranges(7, 2) == [(0, 7)]
-    chunks = _chunk_ranges(103, 4)
+    assert _chunk_ranges(100, 1, 4) == [(0, 100)]
+    # too few indices for every worker to get a whole block: one chunk
+    assert _chunk_ranges(7, 2, 4) == [(0, 7)]
+    assert _chunk_ranges(400, 2, 204) == [(0, 400)]
+    assert _chunk_ranges(408, 2, 204) == [(0, 204), (204, 408)]
+    chunks = _chunk_ranges(103, 4, 25)
     assert chunks[0][0] == 0 and chunks[-1][1] == 103
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
     sizes = [stop - start for start, stop in chunks]
@@ -423,7 +425,10 @@ def test_run_chunks_caps_the_pool(monkeypatch, pool_sizes, workers, chunks, cpus
 
 
 def test_sample_pool_is_capped_and_rows_unchanged(monkeypatch, pool_sizes):
-    # 100 workers split 400 rows into 100 chunks, which share 2 CPUs
+    # 100 workers split 400 rows into 100 chunks of one 4-index block each,
+    # which share 2 CPUs
+    monkeypatch.setattr(quantum, "_SAMPLE_BLOCK_BYTES", 4 * 16 * 20)
+    assert quantum._sample_block_size(2, 2) == 4
     monkeypatch.setattr(quantum.os, "cpu_count", lambda: 2)
     rows = quantum.sample_correlations(400, seed=5, workers=100)
     assert pool_sizes == [2]
@@ -448,6 +453,17 @@ def test_scan_rejects_unindexable_grid():
             curvature_positivity_scan(step=step)
         with pytest.raises(DomainError, match=f"step {step!r} gives"):
             angle_sum_max_scan(step=step)
+
+
+def test_scan_table_cap():
+    # the n x n float64 lower bound of the table is capped at 4 GiB: a step
+    # of 1e-3 (6,284 points per axis, 0.3 GB) passes, 2.7e-4 (23,271) not
+    checks._check_scan_params(1e-3, None)
+    assert 23_170**2 * 8 <= checks._MAX_TABLE_BYTES < 23_171**2 * 8
+    with pytest.raises(DomainError, match="step 0.00027 gives 2.327e"):
+        angle_sum_max_scan(step=2.7e-4)
+    with pytest.raises(DomainError, match="4 GiB cap"):
+        curvature_positivity_scan(step=1.3e-4, margin=0.05)
 
 
 def test_scan_result_json():

@@ -521,6 +521,20 @@ def test_check_lemmas_refuses_unallocatable_grid(capsys, monkeypatch, flag):
     assert "Traceback" not in err
 
 
+def test_check_lemmas_refuses_a_grid_over_the_table_cap(capsys, monkeypatch):
+    # 8.98e8 points per axis: numpy could index the (n, n) table, but it is
+    # far over the 4 GiB cap, so the step is refused before an axis is built
+    def no_axis(*args):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(cli.checks, "_grid_axis", no_axis)
+    code, out, err = run(capsys, "check-lemmas", "--anglesum-step", "7e-9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: step 7e-09 gives 8.976e+08 grid points per axis")
+    assert "4 GiB cap" in err
+
+
 def test_slice_classical(capsys):
     code, out, _ = run(capsys, "slice", "3", "C")
     lines = out.strip().splitlines()

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrset.corrvec import CorrelationVector, canonicalize, full_symmetry_group
-from corrset.errors import NotInQuantumSetError
+from corrset.errors import InternalCheckError, NotInQuantumSetError
 from corrset import geometry
 from corrset.geometry import (
     Decomposition,
@@ -539,3 +539,38 @@ def test_face_slices_demo(capsys):
     # mu sends the quantum bounds onto the classical ones
     mapped = re.search(r"gives \[(\S+), (\S+)\]", out).groups()
     assert mapped == re.search(r"is \[(\S+), (\S+)\]", out).groups()
+
+
+@pytest.mark.parametrize(
+    "x, route",
+    [
+        ((0.0, 0.0, 0.0, 0.0), "origin"),
+        ((0.5, 0.2, -0.1, 0.0), "face"),
+        ((0.6, 0.6, 0.6, -0.6), "curved"),
+        ((0.7071067811865476,) * 3 + (-0.7071067811865476,), "boundary"),
+        # a signed-permutation image of the face input
+        ((0.0, -0.1, 0.2, -0.5), "face"),
+    ],
+)
+def test_reconstruction_error_names_the_exit(monkeypatch, x, route):
+    # a negative bound fails every reconstruction check.  The boundary exit
+    # is taken when the arcsine sum reaches pi minus the same bound, so the
+    # bound is the smallest negative float, which leaves pi minus it at pi;
+    # -1.0 would send the boundary input down the curved exit instead
+    monkeypatch.setattr(geometry, "_RECONSTRUCTION_TOLERANCE", -5e-324)
+    message = (
+        r"^decomposition residual \S+ exceeds -4.94066e-324 for input "
+        rf"\(.*\) at the {route} exit$"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        decompose(CorrelationVector(*x))
+
+
+def test_reconstruct_clamps_weight_dust_to_the_box():
+    # weights may sum to 1 + 1e-12; the reconstructed vector, built without
+    # a check, must still lie in the box
+    g = GeneratorPoint(0.5 * math.pi, 0.5 * math.pi, 0.0)
+    d = Decomposition(((0.5 + 4e-13, g), (0.5 + 4e-13, g)))
+    assert 0.5 + 4e-13 + 0.5 + 4e-13 > 1.0
+    x = d.reconstruct().as_tuple()
+    assert x[:3] == (1.0, 1.0, 0.0) and abs(x[3]) < 1e-15

@@ -1,5 +1,6 @@
 """Quantum realization tests: synthesis, expectation oracle and sampling."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -15,8 +16,20 @@ from hypothesis import strategies as st
 from corrset import quantum
 from corrset.checks import deterministic_strategy_vectors
 from corrset.corrvec import CorrelationVector, full_symmetry_group
-from corrset.errors import DimensionError, DomainError, InvariantViolationError
-from corrset.geometry import Decomposition, GeneratorPoint, decompose, face_segment
+from corrset import geometry
+from corrset.errors import (
+    DimensionError,
+    DomainError,
+    InvariantViolationError,
+    NonFiniteInputError,
+)
+from corrset.geometry import (
+    Decomposition,
+    GeneratorPoint,
+    decompose,
+    face_segment,
+    generator_values,
+)
 from corrset.membership import chsh_combinations, quantum_margins
 from corrset.quantum import (
     _sample_block_size,
@@ -227,6 +240,67 @@ def test_observable_checks_name_the_observable(name, corrupt, check):
     assert re.fullmatch(rf"check '{check}' failed for {name}(: .*)?", str(info.value))
 
 
+def _reference_observable_failure(r: Realization) -> str | None:
+    """The message of the first observable check that `r` fails, each
+    observable checked alone in the order A0, A1, B0, B1: finite, then
+    Hermitian, then involution; None when every observable passes."""
+    for name in ("A0", "A1", "B0", "B1"):
+        obs = getattr(r, name.lower())
+        if not np.isfinite(obs).all():
+            return f"check 'observable-finite' failed for {name}"
+        if np.abs(obs - obs.conj().T).max() > 1e-12:
+            return f"check 'observable-hermitian' failed for {name}"
+        residual = np.abs(obs @ obs - np.eye(len(obs))).max()
+        if residual > 1e-12:
+            return (
+                f"check 'observable-involution' failed for {name}: "
+                f"|O^2 - I| = {residual:.3e}"
+            )
+    return None
+
+
+_CORRUPTIONS = {
+    "nan": lambda obs: obs.__setitem__((0, 1), math.nan),
+    "inf": lambda obs: obs.__setitem__((1, 1), -math.inf),
+    "hermitian": lambda obs: obs.__setitem__((0, 1), obs[0, 1] + 0.1),
+    "involution": lambda obs: obs.__imul__(1.5),
+}
+
+
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(sorted(_CORRUPTIONS))),
+        max_size=2,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_validate_messages_match_per_observable_checks(dims, real, seed, corruptions):
+    # reflections I - 2 v v^dagger, real (float64) or complex, corrupted in
+    # place; the state is the maximally mixed one, which passes every check
+    rng = np.random.default_rng(seed)
+    observables = []
+    for k, is_real in enumerate(real):
+        d = dims[k // 2]
+        v = rng.normal(size=d) + (0.0 if is_real else 1j * rng.normal(size=d))
+        v /= np.linalg.norm(v)
+        observables.append(np.eye(d) - 2.0 * np.outer(v, v.conj()))
+    with np.errstate(invalid="ignore"):  # inf times a complex 1.5 + 0j
+        for k, kind in corruptions:
+            _CORRUPTIONS[kind](observables[k])
+    joint = dims[0] * dims[1]
+    r = Realization(np.eye(joint, dtype=complex) / joint, *observables)
+    expected = _reference_observable_failure(r)
+    if expected is None:
+        r.validate()
+        return
+    with pytest.raises(InvariantViolationError) as info:
+        r.validate()
+    assert str(info.value) == expected
+
+
 def test_positivity_check_reads_off_diagonal_support():
     # row 2 has a zero diagonal entry but a nonzero off-diagonal one; the
     # [[0.5, 0.1], [0.1, 0]] block has eigenvalue 0.25 - sqrt(0.0725) =
@@ -292,6 +366,14 @@ def test_validate_accepts_non_contiguous_arrays():
         InvariantViolationError, match=r"^check 'observable-involution' failed for A1"
     ):
         broken.validate()
+
+
+def test_validate_accepts_integer_observables():
+    # an int64 -1 read as float64 bits is a NaN; the finiteness test must
+    # not read integer entries that way
+    z = np.diag([1, -1])
+    r = realize_generator(GeneratorPoint(0.5, 0.0, 0.0))
+    Realization(r.state, z, z, z, z).validate()
 
 
 @pytest.mark.parametrize("name", ["a1", "b1"])
@@ -488,6 +570,62 @@ def test_expectation_real_check_names_the_correlator():
         match=r"correlator x1 \(A0 B0\) has imaginary residue 1\.000e-03",
     ):
         expectation(broken, validate=False)
+
+
+def test_expectation_raises_on_a_non_finite_trace():
+    # the clamp to [-1, 1] must not turn a NaN trace into a correlator
+    r = realize_generator(GeneratorPoint(0.2, 0.4, -0.1))
+    state = r.state.copy()
+    state[0, 0] = math.nan
+    broken = Realization(state, r.a0, r.a1, r.b0, r.b1)
+    with pytest.raises(NonFiniteInputError, match="^component x1 is not finite: nan$"):
+        expectation(broken, validate=False)
+
+
+def _construct_inputs() -> list[CorrelationVector]:
+    """Members of Q for every exit of `decompose`, with two random
+    signed-permutation images each: the four exit examples, boundary
+    generators, the same scaled inward, and box points inside Q."""
+    rng = np.random.default_rng(21)
+    s = 0.7071067811865476
+    examples = [(0, 0, 0, 0), (0.5, 0.2, -0.1, 0), (0.6, 0.6, 0.6, -0.6), (s, s, s, -s)]
+    boundary = generator_values(rng.uniform(-math.pi, math.pi, size=(40, 3)))
+    scaled = boundary * rng.uniform(0.2, 1.0, size=(40, 1))
+    box = rng.uniform(-1.0, 1.0, size=(400, 4))
+    box = box[quantum_margins(box) > 1e-6][:80]
+    rows = examples + np.concatenate([boundary, scaled, box]).tolist()
+    base = [CorrelationVector.validate(row) for row in rows]
+    group = full_symmetry_group()
+    images = [group[k].apply(x) for x in base for k in rng.integers(0, 192, size=2)]
+    return base + images
+
+
+def test_construct_outputs_pinned(monkeypatch):
+    # the construct path bitwise: decomposition terms, the five realization
+    # arrays and the expectation of each input, and the exit each one takes
+    routes = []
+    for name, route in (("_face_terms", "face"), ("_boundary_angle", "curved")):
+        def spy(z, _f=getattr(geometry, name), _route=route):
+            routes.append(_route)
+            return _f(z)
+
+        monkeypatch.setattr(geometry, name, spy)
+    inputs = _construct_inputs()
+    digest = hashlib.md5()
+    for x in inputs:
+        taken = len(routes)
+        d = decompose(x)
+        if len(routes) == taken:
+            origin = d.terms[0][1] == GeneratorPoint.origin()
+            routes.append("origin" if origin else "boundary")
+        r = realize_mixture(d)
+        digest.update(repr([(w, g.phi1, g.phi2, g.phi3) for w, g in d.terms]).encode())
+        for array in (r.state, r.a0, r.a1, r.b0, r.b1):
+            digest.update(array.tobytes())
+        digest.update(repr(expectation(r).as_tuple()).encode())
+    counts = {route: routes.count(route) for route in set(routes)}
+    assert counts == {"origin": 3, "boundary": 45, "face": 303, "curved": 141}
+    assert digest.hexdigest() == "a160c70572dceabef1d11fcc1081ccde"
 
 
 def test_decompose_and_realize_demo_round_trip(capsys):
@@ -690,7 +828,14 @@ def test_sample_correlations_empty():
     assert sample_correlations(0, 3, 5, seed=2, workers=2).shape == (0, 4)
 
 
-def test_sample_correlations_workers_agree():
+def test_sample_correlations_workers_agree(monkeypatch):
+    # blocks of 4 indices, so that 64 rows give each of 3 workers a chunk
+    monkeypatch.setattr(quantum, "_SAMPLE_BLOCK_BYTES", 4 * 16 * 20)
+    assert quantum._chunk_ranges(64, 3, _sample_block_size(2, 2)) == [
+        (0, 21),
+        (21, 42),
+        (42, 64),
+    ]
     a = sample_correlations(64, dim_a=2, dim_b=2, seed=1)
     b = sample_correlations(64, dim_a=2, dim_b=2, seed=1, workers=3)
     assert np.array_equal(a, b)
