@@ -42,12 +42,14 @@ threshold come out as a maximum scan would give them.
 
 The grid total at (i, j, k) is the float fl(fl(axis[i] + axis[j]) + axis[k]),
 so it depends on (i, j) only through the pair sum, and the default grids
-have about 2,000 distinct pair sums among 5 x 10^4 rows.  Each scan
-evaluates its transcendental once on the (pair sums, n) table of totals and
-gathers a row's values by its pair sum.  Every total is formed by the same
-two roundings and goes through the same elementwise ufunc as in a direct
-evaluation, so every scanned value is bitwise the direct one.  The total
-is neither a function of i + j + k nor symmetric in j and k.
+have about 2,000 distinct pair sums among 5 x 10^4 rows.  A scan evaluates
+its transcendental at most once per total of the (pair sums, n) table and
+gathers a row's values by its pair sum.  The curvature scan fills the whole
+table; the angle scan fills a pair sum's row, in place, the first time it
+reads it.  Every total is formed by the same two roundings and goes through
+the same elementwise ufunc as in a direct evaluation, so every scanned
+value is bitwise the direct one.  The total is neither a function of
+i + j + k nor symmetric in j and k.
 
 The driver is a branch and bound that skips rows which can hold neither
 the minimum nor a value below the bound.  Rows of one pair sum, taken in
@@ -60,7 +62,13 @@ where tan > 0 and its least where tan < 0, is a float at most every value
 in the bucket, with no margin.  Rows run in the order of these bounds, a
 block at a time, until the next bound exceeds both the best value so far
 and the bound counted against; the result is the full scan's, bit for bit,
-whatever the bucket size.
+whatever the bucket size, from any bounds at most the buckets' values.
+The angle scan bounds a bucket first without its table row, by
+fl(fl(least + min negated) - fl(pi/2)), as np.arcsin never exceeds
+fl(pi/2).  Its corner is the bucket's row of least sum, a grid value, so
+the least corner so far is at least the minimum.  Corners are taken in the
+order of the table-free bounds until the next bound exceeds that corner;
+the buckets past it keep their table-free bounds, all above the minimum.
 """
 
 from __future__ import annotations
@@ -86,6 +94,8 @@ _BUCKET_ROWS = 64
 # totals, its largest array; a finer grid is refused before any allocation.
 # The default angle step 0.02 needs 0.8 MB of it and a step of 1e-3 0.3 GB.
 _MAX_TABLE_BYTES = 2**32  # 4 GiB
+# At least every value np.arcsin returns: fl(pi/2), which it gives at 1.0
+_ARCSIN_CAP = 0.5 * math.pi
 
 CURVATURE_THRESHOLD = -1e-9
 ANGLE_SUM_THRESHOLD = 1e-9
@@ -129,11 +139,21 @@ def lvt_oracle_batch(
     Vertex path: expand x in the orthogonal vertex basis and test the l1
     norm of the coordinates.  Facet path: the box bounds together with the
     eight CHSH combinations.  The two paths compute the same support value
-    through different arithmetic and are compared on every call.
+    through different arithmetic and are compared on every call, in
+    `_oracle_verdicts`, which `check-lemmas` calls for both verdicts.
     """
+    return _oracle_verdicts(xs, tolerance)[0]
+
+
+def _oracle_verdicts(xs: np.ndarray, tolerance: float) -> tuple:
+    """`lvt_oracle_batch(xs, tolerance)` and the facet verdicts
+    `membership.classical_margins(xs) >= -tolerance`, bitwise, from one
+    pass over the CHSH combinations, after the paths' cross-check."""
     xs = np.asarray(xs, dtype=float)
-    coords = xs @ _VERTEX_BASIS.T / 4.0
-    vertex_value = np.abs(coords).sum(axis=-1)
+    # the vertex coordinates, and then their magnitudes, in place
+    coords = xs @ _VERTEX_BASIS.T
+    coords /= 4.0
+    vertex_value = membership._row_sum(np.abs(coords, out=coords))
 
     box_value = membership._row_max(np.abs(xs))
     chsh_value = membership._row_max(membership.chsh_combinations(xs))
@@ -151,7 +171,8 @@ def lvt_oracle_batch(
             f"at row {row}, x = ({point}): vertex value {vertex!r}, "
             f"facet value {facet!r}"
         )
-    return vertex_value <= 1.0 + 0.5 * tolerance
+    facet_verdict = membership.CLASSICAL_BOUND - chsh_value >= -tolerance
+    return vertex_value <= 1.0 + 0.5 * tolerance, facet_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +231,6 @@ def _bucket_starts(pair: np.ndarray, order: np.ndarray, size: int) -> np.ndarray
     opens = np.diff(pair[order], prepend=-1) != 0
     class_start = np.maximum.accumulate(np.where(opens, position, 0))
     return np.flatnonzero((position - class_start) % size == 0)
-
-
-def _bucket_lows(corner, count: int) -> np.ndarray:
-    """Row minima of corner(buckets), the values at `count` bucket corners,
-    a block of corners at a time."""
-    return np.concatenate(
-        [
-            corner(slice(start, start + _BLOCK_ROWS)).min(axis=1)
-            for start in range(0, count, _BLOCK_ROWS)
-        ]
-    )
 
 
 def _min_scan(
@@ -314,7 +324,10 @@ def _curvature_rows(step: float, margin: float, bucket: int) -> tuple:
     def values(rows):
         return expression(sums[rows], weights[rows, None], pair[rows])
 
-    return axis, i, j, order, starts, _bucket_lows(corner, starts.size), values
+    # the corners' row minima, a block of corners at a time
+    blocks = range(0, starts.size, _BLOCK_ROWS)
+    lows = [corner(slice(b, b + _BLOCK_ROWS)).min(axis=1) for b in blocks]
+    return axis, i, j, order, starts, np.concatenate(lows), values
 
 
 def curvature_positivity_scan(
@@ -340,21 +353,40 @@ def _negated_angle_sum_rows(step: float, bucket: int) -> tuple:
     axis = _grid_axis(math.pi, step)
     negated = -np.arcsin(np.sin(axis))
     i, j, heads, pair, order = _pair_sum_table(axis)
-    totals = heads[:, None] + axis[None, :]
-    folded = np.arcsin(np.sin(totals, out=totals), out=totals)
     sums = negated[i] + negated[j]
+    # the (pair sums, n) table; a pair sum's row is filled in place, in the
+    # next free slot, the first time it is read
+    folded = np.empty((heads.size, axis.size))
+    slot = np.full(heads.size, -1)
+    used = 0
 
     def expression(sums, pairs):
-        return (sums[:, None] + negated) - folded[pairs]
+        nonlocal used
+        fresh = np.flatnonzero(np.bincount(pairs[slot[pairs] < 0], minlength=slot.size))
+        rows = folded[used : used + fresh.size]
+        np.add(heads[fresh, None], axis, out=rows)
+        np.arcsin(np.sin(rows, out=rows), out=rows)
+        slot[fresh] = np.arange(used, used + fresh.size)
+        used += fresh.size
+        return (sums[:, None] + negated) - folded[slot[pairs]]
 
     starts = _bucket_starts(pair, order, bucket)
     least = np.minimum.reduceat(sums[order], starts)
     classes = pair[order[starts]]
+    # table-free lows, tightened to corners while they reach the least corner
+    lows = (least + negated.min()) - _ARCSIN_CAP
+    ranked, cut = np.argsort(lows, kind="stable"), math.inf
+    for start in range(0, ranked.size, _BLOCK_ROWS):
+        b = ranked[start : start + _BLOCK_ROWS]
+        b = b[lows[b] <= cut]
+        if b.size == 0:
+            break
+        lows[b] = expression(least[b], classes[b]).min(axis=1)
+        cut = min(cut, lows[b].min())
 
     def values(rows):
         return expression(sums[rows], pair[rows])
 
-    lows = _bucket_lows(lambda b: expression(least[b], classes[b]), starts.size)
     return axis, i, j, order, starts, lows, values
 
 
@@ -388,7 +420,7 @@ def _check_scan_params(step: float, margin: float | None) -> None:
     limit = math.pi if margin is None else 0.5 * math.pi - margin
     # _grid_axis's count up to its floor, found without making an array
     count = 2.0 * limit / step + 1.0
-    # the largest array a scan builds is its (pair sums, n) table of totals;
+    # the largest array a scan allocates is its (pair sums, n) table of totals;
     # the pair sums include the n exact doubles 2 axis[i], so it holds at
     # least n x n float64, more than the n(n + 1)/2 half-grid rows of 8
     # bytes each or np.triu_indices's n x n mask of one, and far more than

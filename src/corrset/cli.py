@@ -304,13 +304,16 @@ def _mu_equivalence_check(samples: int, seed: int, tolerance: float) -> dict:
     """Check that x is in Q exactly when mu(x) is in C.
 
     The points are `samples` uniform draws of seed `seed`, checked a block at
-    a time by `_blocked_count`.  Verdicts within `_MU_BAND` of the arcsine
-    bound are not compared.
+    a time by `_blocked_count`, with one arcsine pass per block for both
+    margins.  Verdicts within `_MU_BAND` of the arcsine bound are not
+    compared.
     """
 
     def block_disagreements(points: np.ndarray) -> int:
-        q_margins = membership.quantum_margins(points)
-        c_margins = membership.classical_margins(membership.mu_array(points))
+        angles = np.arcsin(points)
+        q_margins = membership._arcsine_margins(angles)
+        angles *= 2.0 / np.pi  # mu_array(points), in place
+        c_margins = membership.classical_margins(angles)
         verdict_q = q_margins >= -tolerance
         verdict_c = c_margins >= -tolerance
         off_band = np.abs(q_margins) > _MU_BAND
@@ -329,13 +332,13 @@ def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
     """Check that the facet and vertex descriptions of C agree.
 
     The points are `samples` uniform draws of seed `seed + 1`, checked a
-    block at a time by `_blocked_count`; `checks.lvt_oracle_batch` also
-    compares its two support values on every block.
+    block at a time by `_blocked_count`.  `checks._oracle_verdicts` gives
+    both verdicts from one CHSH pass per block, and compares the vertex and
+    facet support values of `lvt_oracle_batch` on every block.
     """
 
     def block_disagreements(points: np.ndarray) -> int:
-        facet = membership.classical_margins(points) >= -tolerance
-        vertex = checks.lvt_oracle_batch(points, tolerance)
+        vertex, facet = checks._oracle_verdicts(points, tolerance)
         return int((facet != vertex).sum())
 
     disagreements = _blocked_count(samples, seed + 1, block_disagreements)

@@ -83,6 +83,11 @@ def _row_max(values: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, np.moveaxis(values, -1, 0))
 
 
+def _row_sum(values: np.ndarray) -> np.ndarray:
+    """`values.sum(axis=-1)` over a last axis of 4, bitwise, column by column."""
+    return functools.reduce(np.add, np.moveaxis(values, -1, 0))
+
+
 def classical_margins(xs: np.ndarray) -> np.ndarray:
     """2 minus the largest CHSH combination; nonnegative inside the set."""
     return CLASSICAL_BOUND - _row_max(chsh_combinations(xs))
@@ -90,7 +95,12 @@ def classical_margins(xs: np.ndarray) -> np.ndarray:
 
 def quantum_margins(xs: np.ndarray) -> np.ndarray:
     """pi minus the largest arcsine combination."""
-    return QUANTUM_BOUND - _row_max(arcsine_combinations(xs))
+    return _arcsine_margins(np.arcsin(np.asarray(xs, dtype=float)))
+
+
+def _arcsine_margins(angles: np.ndarray) -> np.ndarray:
+    """`quantum_margins` of the points whose component arcsines are `angles`."""
+    return QUANTUM_BOUND - _row_max(angles @ SIGN_PATTERNS.T)
 
 
 def mu_array(xs: np.ndarray) -> np.ndarray:

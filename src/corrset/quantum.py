@@ -205,7 +205,9 @@ def _complex_matrix_to_json(matrix: np.ndarray) -> list:
 
 
 def _complex_matrix_from_json(data: list) -> np.ndarray:
-    rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
+    # the unpacking refuses an entry that is not two values, and complex()
+    # a value that is not a number
+    rows = [[complex(re, im) for re, im in row] for row in data]
     matrix = np.array(rows, dtype=complex)
     if matrix.ndim != 2:
         raise ValueError("matrix JSON must be a nested list of [re, im] pairs")

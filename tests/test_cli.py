@@ -1,6 +1,7 @@
 """CLI tests, driven through main() so exit codes and streams are visible."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -219,6 +220,30 @@ def test_verify_rejects_mismatched_observable_size(capsys, tmp_path, name):
     assert err == f"error: check 'observable-shape' failed for {name}\n"
 
 
+_MALFORMED_ENTRIES = {
+    "one-number entry": lambda data: data["A0"][0].__setitem__(0, [0.5]),
+    "string for a matrix": lambda data: data.__setitem__("A0", "oops"),
+    "three-number entry": lambda data: data["A0"][0][0].append(99.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ENTRIES))
+def test_verify_refuses_malformed_matrix_entries(capsys, tmp_path, case):
+    # every entry must be exactly [re, im]; anything else is an input error
+    target = tmp_path / "realization.json"
+    code, _, _ = run(
+        capsys, "realize", "0.5", "0.2", "-0.1", "0", "--output", str(target)
+    )
+    assert code == 0
+    data = json.loads(target.read_text())
+    _MALFORMED_ENTRIES[case](data)
+    target.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: check 'serialization' failed: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2
@@ -430,9 +455,14 @@ def test_check_lemmas_loose_tolerance_output_pinned(capsys):
 
 
 def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
-    # the benchmark's tracer counts rows through these four module attributes;
-    # their blocks, in call order, are the one-draw points of each check
+    # each check makes one pass per block: the mu check takes the arcsines
+    # once and reads them for both margins, the oracle check forms both
+    # verdicts in one call; their blocks, in call order, are the one-draw
+    # points of each check's seed, and the unshared paths are not taken
     samples = 2 * cli._CHECK_BLOCK + 5
+    drawn = np.random.default_rng(4).uniform(-1.0, 1.0, size=(samples, 4))
+    arcsines, mu = np.arcsin(drawn), membership.mu_array(drawn)
+    oracle_drawn = np.random.default_rng(5).uniform(-1.0, 1.0, size=(samples, 4))
     seen = {}
 
     def recording(owner, name):
@@ -440,14 +470,17 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
 
         def wrapper(points, *args):
             assert len(points) <= cli._CHECK_BLOCK
-            seen.setdefault(name, []).append(points)
+            # a copy, as the mu check turns its arcsines into mu in place
+            seen.setdefault(name, []).append(np.array(points))
             return func(points, *args)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("quantum_margins", "classical_margins", "mu_array"):
+    shared = ("_arcsine_margins", "classical_margins")
+    for name in (*shared, "quantum_margins", "mu_array"):
         recording(membership, name)
-    recording(checks, "lvt_oracle_batch")
+    for name in ("_oracle_verdicts", "lvt_oracle_batch"):
+        recording(checks, name)
     code, _, _ = run(
         capsys,
         "check-lemmas", "--step", "0.2", "--seed", "4", "--samples", str(samples),
@@ -455,14 +488,93 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
     assert code == 0
     rows = {name: sum(map(len, blocks)) for name, blocks in seen.items()}
     assert rows == {
-        "quantum_margins": samples,
-        "classical_margins": 2 * samples,
-        "mu_array": samples,
-        "lvt_oracle_batch": samples,
+        "_arcsine_margins": samples,
+        "classical_margins": samples,
+        "_oracle_verdicts": samples,
     }
-    for name, seed in (("quantum_margins", 4), ("lvt_oracle_batch", 5)):
-        drawn = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(samples, 4))
-        assert np.array_equal(np.concatenate(seen[name]), drawn)
+    assert _bits(np.concatenate(seen["_arcsine_margins"])) == _bits(arcsines)
+    assert _bits(np.concatenate(seen["classical_margins"])) == _bits(mu)
+    assert np.array_equal(np.concatenate(seen["_oracle_verdicts"]), oracle_drawn)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _edge_rows():
+    # uniform draws plus the rows where the sampled checks' verdicts turn:
+    # components at +-1 and 0, points of Q's boundary and within the mu band
+    # of it, and points whose largest CHSH value is exactly 2 or 2.25
+    rng = np.random.default_rng(2202)
+    grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=4)))
+    phis = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(4000, 3))
+    phis = np.column_stack([phis, phis.sum(axis=1) - math.pi])
+    boundary = np.sin(phis[np.abs(phis[:, 3]) <= 0.5 * math.pi])
+    near = [boundary * scale for scale in (1.0 - 1e-8, 1.0 - 1e-10, 1.0 + 1e-10)]
+    chsh_edges = np.array(
+        [
+            [0.5, 0.5, 0.5, -0.5],
+            [1.0, 1.0, 0.0, 0.0],
+            [1.0, 0.25, 0.75, 0.0],
+            [0.5, 0.5, 0.625, -0.625],
+        ]
+    )
+    uniform = rng.uniform(-1.0, 1.0, size=(3000, 4))
+    rows = np.concatenate([grid, boundary, *near, chsh_edges, uniform])
+    return np.clip(rows, -1.0, 1.0)
+
+
+def test_shared_check_passes_match_the_unshared_ones(monkeypatch):
+    # the per-block verdicts of both sampled checks, restated with one
+    # arcsine and one CHSH pass per use and numpy's own row reductions
+    points = _edge_rows()
+    patterns = membership.SIGN_PATTERNS.T
+    angles = np.arcsin(points)
+    q_margins = math.pi - (angles @ patterns).max(axis=-1)
+    c_margins = 2.0 - (((2.0 / np.pi) * angles) @ patterns).max(axis=-1)
+    facet_margins = 2.0 - (points @ patterns).max(axis=-1)
+    vertex_values = np.abs(points @ checks._VERTEX_BASIS.T / 4.0).sum(axis=-1)
+    assert (np.abs(q_margins) <= cli._MU_BAND).sum() > 100
+    assert (facet_margins == 0.0).sum() >= 3 and (facet_margins == -0.25).any()
+    seen = {}
+
+    def recording(owner, name):
+        func = getattr(owner, name)
+
+        def wrapper(*args):
+            seen[name] = func(*args)
+            return seen[name]
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    recording(membership, "_arcsine_margins")
+    recording(membership, "classical_margins")
+    recording(checks, "_oracle_verdicts")
+    # each check's block function, applied once to all the points
+    monkeypatch.setattr(cli, "_blocked_count", lambda rows, seed, count: count(points))
+    # at tolerance 0.25 a facet margin and a vertex value sit on their bounds
+    for tolerance in (1e-9, 1e-7, 1e-3, 0.25, 0.3):
+        mu = cli._mu_equivalence_check(len(points), 0, tolerance)
+        oracle = cli._oracle_agreement_check(len(points), 0, tolerance)
+        assert _bits(seen["_arcsine_margins"]) == _bits(q_margins)
+        assert _bits(seen["classical_margins"]) == _bits(c_margins)
+        verdict_q, verdict_c = q_margins >= -tolerance, c_margins >= -tolerance
+        off_band = np.abs(q_margins) > cli._MU_BAND
+        expected = int((verdict_q != verdict_c)[off_band].sum())
+        assert mu["disagreements_outside_band"] == expected
+        vertex, facet = seen["_oracle_verdicts"]
+        assert np.array_equal(vertex, vertex_values <= 1.0 + 0.5 * tolerance)
+        assert np.array_equal(facet, facet_margins >= -tolerance)
+        assert oracle["disagreements"] == int((vertex != facet).sum())
+
+
+def test_check_lemmas_output_pinned(capsys):
+    # the default op's JSON, bitwise, at seed 5
+    code, out, _ = run(capsys, "check-lemmas", "--seed", "5")
+    assert code == 0
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == (
+        "6938fe004fe0b76fc1b67c01fdde079f"
+    )
 
 
 def _traced_peak(check, samples):

@@ -314,6 +314,29 @@ def test_array_row_maxima_bitwise_the_last_axis_max(xs):
     assert np.array_equal(verdict, _restated_lvt_oracle_batch(xs))
 
 
+@given(vector_arrays)
+def test_row_sums_bitwise_the_last_axis_sum(xs):
+    # lvt_oracle_batch's vertex value, l1 norms of the vertex coordinates
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    for values in (np.abs(xs), np.abs(xs @ _VERTEX_BASIS.T / 4.0)):
+        assert bits(membership._row_sum(values)) == bits(values.sum(axis=-1))
+
+
+def test_row_sums_bitwise_over_wide_exponents():
+    # addends 2**60 apart, where the order of the additions shows
+    rng = np.random.default_rng(22)
+    values = rng.uniform(0.5, 1.0, (4096, 4)) * np.exp2(rng.integers(-60, 1, (4096, 4)))
+    for shape in ((4096, 4), (16, 16, 16, 4), (4,)):
+        block = values.reshape(-1)[: math.prod(shape)].reshape(shape)
+        expected = block.sum(axis=-1)
+        assert np.array_equal(
+            np.asarray(membership._row_sum(block)).view(np.int64),
+            np.asarray(expected).view(np.int64),
+        )
+
+
 def test_membership_tour_demo(capsys):
     demo = Path(__file__).resolve().parents[1] / "demos" / "membership_tour.py"
     runpy.run_path(str(demo), run_name="__main__")
