@@ -44,11 +44,13 @@ The grid total at (i, j, k) is the float fl(fl(axis[i] + axis[j]) + axis[k]),
 so it depends on (i, j) only through the pair sum, and the default grids
 have about 2,000 distinct pair sums among 5 x 10^4 rows.  A scan evaluates
 its transcendental at most once per total of the (pair sums, n) table and
-gathers a row's values by its pair sum.  The curvature scan fills the whole
-table; the angle scan fills a pair sum's row, in place, the first time it
-reads it.  Every total is formed by the same two roundings and goes through
-the same elementwise ufunc as in a direct evaluation, so every scanned
-value is bitwise the direct one.  The total is neither a function of
+gathers a row's values by its pair sum.  The curvature scan fills the table
+from the first pair sum whose total with the largest axis value reaches
+its range: rounding is monotone, so the pair sums before it have no total
+in range.  The angle scan fills a pair sum's row, in place, the first time
+it reads it.  Every total is formed by the same two roundings and goes
+through the same elementwise ufunc as in a direct evaluation, so every
+scanned value is bitwise the direct one.  The total is neither a function of
 i + j + k nor symmetric in j and k.
 
 The driver is a branch and bound that skips rows which can hold neither
@@ -59,10 +61,12 @@ square a positive number, multiply by a factor of fixed sign) is monotone
 in each input.  So the expression evaluated once at the bucket's corner,
 with its least sum and, for the curvature scan, its greatest weight sum
 where tan > 0 and its least where tan < 0, is a float at most every value
-in the bucket, with no margin.  Rows run in the order of these bounds, a
-block at a time, until the next bound exceeds both the best value so far
-and the bound counted against; the result is the full scan's, bit for bit,
-whatever the bucket size, from any bounds at most the buckets' values.
+in the bucket, with no margin.  The buckets are ranked by these bounds,
+ties in bucket order, and expanded to their rows, which is the stable sort
+of the rows by their bucket's bound.  Rows run in that order, a block at a
+time, until the next bound exceeds both the best value so far and the bound
+counted against; the result is the full scan's, bit for bit, whatever the
+bucket size, from any bounds at most the buckets' values.
 The angle scan bounds a bucket first without its table row, by
 fl(fl(least + min negated) - fl(pi/2)), as np.arcsin never exceeds
 fl(pi/2).  Its corner is the bucket's row of least sum, a grid value, so
@@ -156,7 +160,7 @@ def _oracle_verdicts(xs: np.ndarray, tolerance: float) -> tuple:
     vertex_value = membership._row_sum(np.abs(coords, out=coords))
 
     box_value = membership._row_max(np.abs(xs))
-    chsh_value = membership._row_max(membership.chsh_combinations(xs))
+    chsh_value = membership._largest_combination(xs)
     facet_value = np.maximum(box_value, 0.5 * chsh_value)
 
     gap = np.abs(vertex_value - facet_value)
@@ -224,13 +228,20 @@ def _pair_sum_table(axis: np.ndarray) -> tuple[np.ndarray, ...]:
     return i, j, ranked[opens], pair, order
 
 
+def _runs(firsts: np.ndarray, counts: np.ndarray, stride: int = 1) -> np.ndarray:
+    """firsts[k] + stride * arange(counts[k]), concatenated over k."""
+    offsets = np.cumsum(counts) - counts
+    steps = stride * np.arange(counts.sum())
+    return np.repeat(firsts - stride * offsets, counts) + steps
+
+
 def _bucket_starts(pair: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
-    """Where `order`, rows grouped by pair sum, is cut into buckets of at
-    most `size` rows of one pair sum."""
-    position = np.arange(order.size)
-    opens = np.diff(pair[order], prepend=-1) != 0
-    class_start = np.maximum.accumulate(np.where(opens, position, 0))
-    return np.flatnonzero((position - class_start) % size == 0)
+    """Where `order`, rows grouped by pair sum (numbered from 0), is cut
+    into buckets of at most `size` rows of one pair sum: every `size` rows
+    from the first of each pair sum's rows."""
+    class_starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    class_sizes = np.diff(class_starts, append=order.size)
+    return _runs(class_starts, -(-class_sizes // size), size)
 
 
 def _min_scan(
@@ -248,15 +259,18 @@ def _min_scan(
     (i, j) lists the rows i <= j of the grid in grid order, and values(rows)
     their values at (axis[i], axis[j], axis[k]) for every k; a row left out
     holds +inf alone.  Bucket b is rows order[starts[b]:starts[b + 1]], and
-    lows[b] is at most every value in it.  Rows run in the order of their
-    bucket's low, a block at a time, until the next low exceeds both the
-    best value so far and `bound`: no row left can hold the minimum or a
-    value below `bound`.  Ties go to the first grid point, and a row j > i
-    counts twice, as its mirror (j, i) holds the same values.
+    lows[b] is at most every value in it.  The buckets are ranked by low,
+    ties in bucket order, and expanded to their rows: the stable sort of the
+    rows by their bucket's low.  Rows run in that order, a block at a time,
+    until the next low exceeds both the best value so far and `bound`: no
+    row left can hold the minimum or a value below `bound`.  Ties go to the
+    first grid point, and a row j > i counts twice, as its mirror (j, i)
+    holds the same values.
     """
-    row_lows = np.repeat(lows, np.diff(starts, append=order.size))
-    ranked = np.argsort(row_lows, kind="stable")
-    sequence, row_lows = order[ranked], row_lows[ranked]
+    ranked = np.argsort(lows, kind="stable")
+    counts = np.diff(starts, append=order.size)[ranked]
+    sequence = order[_runs(starts[ranked], counts)]
+    row_lows = np.repeat(lows[ranked], counts)
     best = math.inf
     violations = 0
     done = []
@@ -292,22 +306,25 @@ def _curvature_rows(step: float, margin: float, bucket: int) -> tuple:
     sin_term = np.sin(axis) / np.cos(axis) ** 5
     weight_term = 1.0 / np.cos(axis) ** 2
     i, j, heads, pair, order = _pair_sum_table(axis)
-    totals = heads[:, None] + axis[None, :]
+    # the table starts at the first pair sum whose total with the largest
+    # axis value reaches the range (module docstring)
+    first = np.searchsorted(heads + axis[-1] >= low_sum, True)
+    pair -= first
+    totals = heads[first:, None] + axis[None, :]
     in_range = (totals >= low_sum) & (totals <= high_sum)
     tan_totals = np.tan(totals, out=totals)
     # finite terms minus -inf times a weight >= 9: +inf off the range
     tan_totals[~in_range] = -np.inf
     # a row whose pair sum puts no total in range is +inf alone
+    order = order[pair[order] >= 0]
     order = order[in_range.any(axis=1)[pair[order]]]
     if order.size == 0:
         raise DomainError("scan grid is empty; decrease step or margin")
     sums = sin_term[i] + sin_term[j]
     weights = weight_term[i] + weight_term[j]
 
-    def expression(sums, weights, pairs):
-        return (sums[:, None] + sin_term) - tan_totals[pairs] * (
-            weights + weight_term
-        ) ** 2
+    def expression(sums, weights, tans):
+        return (sums[:, None] + sin_term) - tans * (weights + weight_term) ** 2
 
     starts = _bucket_starts(pair, order, bucket)
     least = np.minimum.reduceat(sums[order], starts)
@@ -316,13 +333,13 @@ def _curvature_rows(step: float, margin: float, bucket: int) -> tuple:
     classes = pair[order[starts]]
 
     def corner(b):
-        pairs = classes[b]
+        tans = tan_totals[classes[b]]
         # a value falls as the weight sum grows where tan > 0, rises where < 0
-        chosen = np.where(tan_totals[pairs] > 0.0, heavy[b, None], light[b, None])
-        return expression(least[b], chosen, pairs)
+        chosen = np.where(tans > 0.0, heavy[b, None], light[b, None])
+        return expression(least[b], chosen, tans)
 
     def values(rows):
-        return expression(sums[rows], weights[rows, None], pair[rows])
+        return expression(sums[rows], weights[rows, None], tan_totals[pair[rows]])
 
     # the corners' row minima, a block of corners at a time
     blocks = range(0, starts.size, _BLOCK_ROWS)

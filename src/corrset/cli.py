@@ -304,11 +304,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     vectors = quantum.sample_correlations(
         args.count, dim_a, dim_b, seed=args.seed, workers=args.parallel
     )
-    # near-equal blocks, so only a 1-row run has a 1-row block: numpy
-    # multiplies a single row as a vector, whose sums may round differently
+    # blocks of at most _CHECK_BLOCK rows; a row's sums are the same floats
+    # in a block of any size
     blocks = np.array_split(vectors, -(-args.count // _CHECK_BLOCK))
     margins = map(membership.quantum_margins, blocks)
-    maxima = [membership.chsh_combinations(block).max() for block in blocks]
+    maxima = [membership._largest_combination(block).max() for block in blocks]
     summary = {
         "count": int(args.count),
         "dims": [dim_a, dim_b],

@@ -16,6 +16,13 @@ report), from four sums per system: rows 4-7 of the patterns are rows 0-3
 negated, taken as `0.0 - v` so that an exact zero stays +0.0 as the direct
 sum gives it.  It cross-checks the maximum against the canonical fast path.
 
+Scalars and arrays share one summation order, `_pattern_sums`: each of
+rows 0-3 summed left to right, as numpy's matrix product sums a block of
+rows.  So a row's values are the same floats alone, of shape (4,) or
+(1, 4), as inside a longer array; a matrix product would send a lone row
+to a vector kernel that rounds its sums differently.  The largest of the
+eight values is the largest magnitude of rows 0-3.
+
 `mu` is the component-wise rescaled arcsine map y_i = (2/pi) * asin(x_i).
 It sends the quantum set exactly onto the classical one, which makes
 "in quantum set" equivalent to "mu-image in classical set"; several tests
@@ -67,14 +74,20 @@ _CROSS_CHECK_TOLERANCE = 1e-9
 
 def chsh_combinations(xs: np.ndarray) -> np.ndarray:
     """All eight CHSH combination values; input (..., 4), output (..., 8)."""
-    xs = np.asarray(xs, dtype=float)
-    return xs @ SIGN_PATTERNS.T
+    columns = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
+    return np.stack(_pattern_sums(*columns), axis=-1)
 
 
 def arcsine_combinations(xs: np.ndarray) -> np.ndarray:
     """All eight combination values of component arcsines."""
-    xs = np.asarray(xs, dtype=float)
-    return np.arcsin(xs) @ SIGN_PATTERNS.T
+    return chsh_combinations(np.arcsin(np.asarray(xs, dtype=float)))
+
+
+def _largest_combination(xs: np.ndarray) -> np.ndarray:
+    """The largest of the eight pattern sums of each row of `xs`: the
+    largest magnitude of rows 0-3, which rows 4-7 negate."""
+    columns = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
+    return functools.reduce(np.maximum, map(np.abs, _pattern_sums(*columns)[:4]))
 
 
 def _row_max(values: np.ndarray) -> np.ndarray:
@@ -90,7 +103,7 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
 
 def classical_margins(xs: np.ndarray) -> np.ndarray:
     """2 minus the largest CHSH combination; nonnegative inside the set."""
-    return CLASSICAL_BOUND - _row_max(chsh_combinations(xs))
+    return CLASSICAL_BOUND - _largest_combination(xs)
 
 
 def quantum_margins(xs: np.ndarray) -> np.ndarray:
@@ -100,7 +113,7 @@ def quantum_margins(xs: np.ndarray) -> np.ndarray:
 
 def _arcsine_margins(angles: np.ndarray) -> np.ndarray:
     """`quantum_margins` of the points whose component arcsines are `angles`."""
-    return QUANTUM_BOUND - _row_max(angles @ SIGN_PATTERNS.T)
+    return QUANTUM_BOUND - _largest_combination(angles)
 
 
 def mu_array(xs: np.ndarray) -> np.ndarray:

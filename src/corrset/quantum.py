@@ -182,7 +182,11 @@ class Realization:
             realization = cls(
                 **{f: _complex_matrix_from_json(key, data[key]) for key, f in fields}
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InvariantViolationError(
+                f"check 'serialization' failed: missing key {exc}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
             raise InvariantViolationError(
                 f"check 'serialization' failed: {exc}"
             ) from exc

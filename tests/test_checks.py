@@ -377,6 +377,137 @@ def test_curvature_scan_rejects_empty_grid():
         curvature_positivity_scan(step=0.01, margin=1.5)
 
 
+def _positional_bucket_starts(pair, order, size):
+    # a row opens a bucket when its place among its pair sum's rows is a
+    # multiple of `size`
+    position = np.arange(order.size)
+    opens = np.diff(pair[order], prepend=-1) != 0
+    class_start = np.maximum.accumulate(np.where(opens, position, 0))
+    return np.flatnonzero((position - class_start) % size == 0)
+
+
+def _index_cases():
+    # (pair, order) of real half grids and of random classes, each with
+    # every row and with a random part of them
+    rng = np.random.default_rng(24)
+    for limit, step in [(0.5 * math.pi - 0.05, 0.05), (math.pi, 0.1), (1.0, 0.3)]:
+        pair, order = _pair_sum_table(_grid_axis(limit, step))[3:]
+        yield pair, order
+        yield pair, order[rng.random(order.size) < 0.3]
+    for _ in range(20):
+        sizes = rng.integers(1, 150, size=rng.integers(1, 40))
+        pair = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+        order = np.argsort(pair, kind="stable")
+        yield pair, order[rng.random(order.size) < rng.uniform(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("size", [1, 4, 64, 10**6])
+def test_bucket_starts_match_the_positional_rule(size):
+    for pair, order in _index_cases():
+        starts = checks._bucket_starts(pair, order, size)
+        assert starts.tolist() == _positional_bucket_starts(pair, order, size).tolist()
+
+
+@pytest.mark.parametrize("size", [1, 4, 64, 10**6])
+def test_ranked_buckets_expand_to_the_stable_row_sort(size):
+    # past every value, _min_scan runs every row, in the order it ranks
+    # them; lows drawn from few values, so that many buckets tie
+    rng = np.random.default_rng(size)
+    for pair, order in _index_cases():
+        starts = checks._bucket_starts(pair, order, size)
+        lows = rng.choice([-1.5, 0.0, 0.25, 0.25, 3.0, np.inf], size=starts.size)
+        row_lows = np.repeat(lows, np.diff(starts, append=order.size))
+        evaluated = []
+
+        def values(rows):
+            evaluated.extend(rows.tolist())
+            return np.zeros((rows.size, 1))
+
+        same = np.zeros(pair.size, dtype=int)
+        _min_scan(np.zeros(1), same, same, order, starts, lows, values, math.inf)
+        assert evaluated == order[np.argsort(row_lows, kind="stable")].tolist()
+
+
+def _brute_curvature_scan(axis, margin, threshold):
+    # every total of the n^3 grid through np.tan, -inf off the range, so
+    # that a point off it holds +inf
+    totals = (axis[:, None, None] + axis[None, :, None]) + axis
+    in_range = (totals >= 0.5 * math.pi + margin) & (totals <= 1.5 * math.pi - margin)
+    if not in_range.any():
+        raise DomainError("scan grid is empty; decrease step or margin")
+    tans = np.where(in_range, np.tan(totals), -np.inf)
+    sin_term = np.sin(axis) / np.cos(axis) ** 5
+    weight_term = 1.0 / np.cos(axis) ** 2
+    sums = sin_term[:, None, None] + sin_term[None, :, None]
+    weights = weight_term[:, None, None] + weight_term[None, :, None]
+    cube = (sums + sin_term) - tans * (weights + weight_term) ** 2
+    first = np.unravel_index(np.argmin(cube), cube.shape)
+    point = tuple(float(axis[n]) for n in first)
+    return float(cube[first]), point, int((cube < threshold).sum())
+
+
+def _tan_rows(monkeypatch):
+    # the rows of every 2-d table the curvature scan takes np.tan of
+    rows = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def tan(x, *args, **kwargs):
+            rows.append(np.array(x).shape[0])
+            return np.tan(x, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "np", RecordingNumpy())
+    return rows
+
+
+@pytest.mark.parametrize("step, margin", [(0.09, 0.2), (0.06, 0.45), (0.05, 0.7)])
+def test_restricted_curvature_table_matches_brute_force(monkeypatch, step, margin):
+    # the table holds the pair sums h with some total h + axis[k] in range,
+    # the ones reaching it, and the scan is the brute force's at a threshold
+    # below every value and at one inside them
+    axis = _grid_axis(0.5 * math.pi - margin, step)
+    heads = _pair_sum_table(axis)[2]
+    totals = heads[:, None] + axis
+    reaching = (totals >= 0.5 * math.pi + margin).any(axis=1)
+    assert 0 < reaching.argmax() and reaching.sum() < heads.size
+    tan_rows = _tan_rows(monkeypatch)
+    low = _brute_curvature_scan(axis, margin, -math.inf)[0]
+    for threshold in (CURVATURE_THRESHOLD, low + 5.0):
+        tan_rows.clear()
+        result = curvature_positivity_scan(step, margin, threshold)
+        assert tan_rows == [reaching.sum()]
+        expected = _brute_curvature_scan(axis, margin, threshold)
+        assert result == ScanResult(step, *expected)
+        assert threshold < low or result.violations > 0
+
+
+def test_restricted_curvature_table_from_the_first_pair_sum(monkeypatch):
+    # on a grid of positive angles the least pair sum already reaches the
+    # range, so the table starts at pair sum 0
+    axis = np.linspace(0.6, 1.4, 17)
+    monkeypatch.setattr(checks, "_grid_axis", lambda limit, step: axis)
+    heads = _pair_sum_table(axis)[2]
+    assert heads[0] + axis[-1] >= 0.5 * math.pi + 0.3
+    tan_rows = _tan_rows(monkeypatch)
+    result = curvature_positivity_scan(0.05, 0.3)
+    assert tan_rows == [heads.size]
+    expected = _brute_curvature_scan(axis, 0.3, CURVATURE_THRESHOLD)
+    assert result == ScanResult(0.05, *expected)
+
+
+def test_restricted_curvature_table_empty_when_no_pair_sum_reaches():
+    # just past margin pi/4, 3 (pi/2 - margin) < pi/2 + margin: no total
+    # reaches the range
+    margin = 0.79
+    axis = _grid_axis(0.5 * math.pi - margin, 0.03)
+    assert 3.0 * axis[-1] < 0.5 * math.pi + margin
+    with pytest.raises(DomainError, match="scan grid is empty"):
+        curvature_positivity_scan(step=0.03, margin=margin)
+
+
 def test_chunk_ranges_one_worker_and_even_costs():
     assert _chunk_ranges(100, 1, 4) == [(0, 100)]
     # too few indices for every worker to get a whole block: one chunk

@@ -260,6 +260,21 @@ def test_verify_refuses_malformed_matrix_entries(capsys, tmp_path, case):
     )
 
 
+@pytest.mark.parametrize("key", ["state", "A0", "A1", "B0", "B1"])
+def test_verify_names_a_missing_key(capsys, tmp_path, key):
+    target = tmp_path / "realization.json"
+    code, _, _ = run(
+        capsys, "realize", "0.5", "0.2", "-0.1", "0", "--output", str(target)
+    )
+    assert code == 0
+    data = json.loads(target.read_text())
+    del data[key]
+    target.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: check 'serialization' failed: missing key '{key}'\n"
+
+
 @pytest.mark.parametrize("dims", [5, "22", None])
 def test_verify_refuses_dims_that_are_not_a_list(capsys, tmp_path, dims):
     target = tmp_path / "realization.json"
@@ -698,6 +713,53 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
+    # --samples one past a block leaves a last block of one row; each check's
+    # values there are the bits its row has in one call over all the draws
+    samples = cli._CHECK_BLOCK + 1
+    angles = np.arcsin(np.random.default_rng(6).uniform(-1.0, 1.0, size=(samples, 4)))
+    oracle_drawn = np.random.default_rng(7).uniform(-1.0, 1.0, size=(samples, 4))
+    q_margins = membership._arcsine_margins(angles)
+    c_margins = membership.classical_margins((2.0 / np.pi) * angles)
+    vertex, facet = checks._oracle_verdicts(oracle_drawn, 1e-9)
+    seen = {}
+
+    def recording(owner, name):
+        func = getattr(owner, name)
+
+        def wrapper(points, *args):
+            seen.setdefault(name, []).append((len(points), func(points, *args)))
+            return seen[name][-1][1]
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    recording(membership, "_arcsine_margins")
+    recording(membership, "classical_margins")
+    recording(checks, "_oracle_verdicts")
+    code, out, _ = run(
+        capsys,
+        "check-lemmas", "--step", "0.2", "--seed", "6", "--samples", str(samples),
+    )
+    assert code == 0
+    assert {name: [n for n, _ in calls] for name, calls in seen.items()} == {
+        name: [cli._CHECK_BLOCK, 1] for name in seen
+    }
+
+    def joined(name, part=slice(None)):
+        return np.concatenate([np.asarray(values)[part] for _, values in seen[name]])
+
+    assert _bits(joined("_arcsine_margins")) == _bits(q_margins)
+    assert _bits(joined("classical_margins")) == _bits(c_margins)
+    assert np.array_equal(joined("_oracle_verdicts", 0), vertex)
+    assert np.array_equal(joined("_oracle_verdicts", 1), facet)
+    results = {r["name"]: r for r in json.loads(out)["checks"]}
+    off_band = np.abs(q_margins) > cli._MU_BAND
+    mu_count = ((q_margins >= -1e-9) != (c_margins >= -1e-9))[off_band].sum()
+    assert results["mu-equivalence"]["disagreements_outside_band"] == mu_count
+    oracle_count = (vertex != facet).sum()
+    assert results["vertex-oracle-agreement"]["disagreements"] == oracle_count
 
 
 def _edge_rows():

@@ -1,5 +1,6 @@
 """Membership tests: CHSH facets, arcsine bound, margins and the mu map."""
 
+import itertools
 import math
 import runpy
 import struct
@@ -312,6 +313,31 @@ def test_array_row_maxima_bitwise_the_last_axis_max(xs):
     verdict = lvt_oracle_batch(xs)
     assert np.shape(verdict) == xs.shape[:-1]
     assert np.array_equal(verdict, _restated_lvt_oracle_batch(xs))
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        chsh_combinations,
+        arcsine_combinations,
+        classical_margins,
+        quantum_margins,
+        lvt_oracle_batch,
+    ],
+)
+def test_one_row_is_bitwise_its_row_in_a_longer_array(func):
+    # a row's pattern sums are the same floats alone, of shape (4,) or
+    # (1, 4), as inside a longer array; a matrix product would round a lone
+    # row's sums in another order.  lvt_oracle_batch still forms its vertex
+    # coordinates by one, which could move a verdict within an ulp of its
+    # bound only
+    rng = np.random.default_rng(24)
+    grid = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=4)))
+    rows = np.concatenate([grid, rng.uniform(-1.0, 1.0, size=(1000, 4))])
+    whole = np.asarray(func(rows))
+    for r, row in enumerate(rows):
+        assert np.asarray(func(row)).tobytes() == whole[r].tobytes()
+        assert np.asarray(func(row[None])).tobytes() == whole[r : r + 1].tobytes()
 
 
 @given(vector_arrays)
