@@ -154,8 +154,12 @@ def _oracle_verdicts(xs: np.ndarray, tolerance: float) -> tuple:
     `membership.classical_margins(xs) >= -tolerance`, bitwise, from one
     pass over the CHSH combinations, after the paths' cross-check."""
     xs = np.asarray(xs, dtype=float)
-    # the vertex coordinates, and then their magnitudes, in place
-    coords = xs @ _VERTEX_BASIS.T
+    # the vertex coordinates, and then their magnitudes, in place; each row
+    # of _VERTEX_BASIS is summed left to right as gemm sums it, so a lone
+    # row has the bits it has inside a longer array
+    a, b, c, d = np.moveaxis(xs, -1, 0)
+    plus, minus = a + b, a - b
+    coords = np.stack((plus + c + d, plus - c - d, minus + c - d, minus - c + d), -1)
     coords /= 4.0
     vertex_value = membership._row_sum(np.abs(coords, out=coords))
 

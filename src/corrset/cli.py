@@ -11,6 +11,13 @@ check-lemmas run the library's self-verification suite
 slice        tabulate 2-d cross sections of either set at x1 = 1
 mu           apply the rescaled arcsine map (or its inverse) to a vector
 
+Each subcommand takes only the options it reads; any other is refused by
+the parser with exit 2 before anything is computed.  Every subcommand
+takes `--output`, every one but `slice` `--tolerance`, and every one but
+`realize` and `check-lemmas` `--format` (csv by default for `slice`, json
+elsewhere).  `--seed` belongs to `sample` and `check-lemmas`, `--parallel`
+to `sample`, `--input` to the commands that read one vector.
+
 Exit codes: 0 on success (for `membership`: vector in the quantum set),
 1 when the vector is outside the quantum set or a verification check
 failed, 2 on input errors, 3 when a self-check of the library failed (an
@@ -79,8 +86,10 @@ def _emit(args: argparse.Namespace, text: str, more=()) -> None:
         if target.exists():
             os.chmod(temporary, target.stat().st_mode)
         os.replace(temporary, target)
-    except BaseException:
+    except BaseException as exc:
         temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temporary):
+            exc.filename = args.output  # the path given, not the temporary
         raise
 
 
@@ -135,10 +144,6 @@ def _read_vector(args: argparse.Namespace, tolerance: float) -> CorrelationVecto
     return CorrelationVector.validate(inline, tolerance=tolerance)
 
 
-def _pick_format(args: argparse.Namespace, default: str) -> str:
-    return args.format if args.format else default
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -147,8 +152,7 @@ def cmd_membership(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
     x = _read_vector(args, tolerance)
     report = membership.evaluate(x, tolerance)
-    fmt = _pick_format(args, "json")
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _json_dump(report.to_json_dict()))
     else:
         header = (
@@ -195,8 +199,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             decomposition.reconstruct().as_tuple(), x.as_tuple()
         )
     ]
-    fmt = _pick_format(args, "json")
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "terms": decomposition.to_json_list(),
             "residual": residual,
@@ -217,8 +220,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_realize(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
-    if _pick_format(args, "json") != "json":
-        raise DomainError("realize emits matrices and supports only json")
     x = _read_vector(args, tolerance)
     try:
         decomposition = _decompose_or_report(x, tolerance)
@@ -250,8 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     realization = quantum.Realization.from_json_dict(data)
     vector = quantum.expectation(realization)
     report = membership.evaluate(vector, tolerance)
-    fmt = _pick_format(args, "json")
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "vector": list(vector.as_tuple()),
             "report": report.to_json_dict(),
@@ -297,6 +297,8 @@ def _json_rows(blocks: list[np.ndarray]):
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise DomainError(f"--parallel must be at least 1, got {args.parallel}")
     tolerance = _resolve_tolerance(args)
     if args.count < 1:
         raise DomainError(f"sample count must be at least 1, got {args.count}")
@@ -317,7 +319,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "failures": sum(int((m < -tolerance).sum()) for m in margins),
         "max_chsh": float(np.max(maxima)),
     }
-    if _pick_format(args, "json") == "json":
+    if args.format == "json":
         head = _json_dump({"summary": summary})[:-2] + ',\n  "vectors": [\n'
         _emit(args, head, _json_rows(blocks))
     else:
@@ -395,22 +397,18 @@ def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
 
 def cmd_check_lemmas(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
-    if _pick_format(args, "json") != "json":
-        raise DomainError("check-lemmas emits nested results and supports only json")
     if args.samples < 1:
         raise DomainError(f"sample count must be at least 1, got {args.samples}")
     if args.seed < 0:
         raise DomainError(f"check-lemmas seed must be non-negative, got {args.seed}")
-    hessian_step = args.hessian_step if args.step is None else args.step
-    angle_step = args.anglesum_step if args.step is None else args.step
     # refuse either grid before the other scan runs
-    checks._check_scan_params(hessian_step, args.hessian_margin)
-    checks._check_scan_params(angle_step, None)
+    checks._check_scan_params(args.hessian_step, args.hessian_margin)
+    checks._check_scan_params(args.anglesum_step, None)
 
     results = []
 
     scan = checks.curvature_positivity_scan(
-        step=hessian_step, margin=args.hessian_margin
+        step=args.hessian_step, margin=args.hessian_margin
     )
     results.append(
         {
@@ -421,14 +419,14 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
         }
     )
 
-    scan = checks.angle_sum_max_scan(step=angle_step)
+    scan = checks.angle_sum_max_scan(step=args.anglesum_step)
     attained = math.pi - scan.min_value
     results.append(
         {
             "name": "angle-sum-maximum",
             "passed": scan.violations == 0
             and scan.min_value >= -checks.ANGLE_SUM_THRESHOLD
-            and scan.min_value <= 2.0 * angle_step,
+            and scan.min_value <= 2.0 * args.anglesum_step,
             "max_value": attained,
             **scan.to_json_dict(),
         }
@@ -444,9 +442,6 @@ def cmd_check_lemmas(args: argparse.Namespace) -> int:
 
     results.append(_mu_equivalence_check(args.samples, args.seed, tolerance))
     results.append(_oracle_agreement_check(args.samples, args.seed, tolerance))
-
-    if args.self_test_fail:
-        results.append({"name": "forced-self-test-failure", "passed": False})
 
     all_passed = all(r["passed"] for r in results)
     payload = {"all_passed": all_passed, "checks": results}
@@ -481,7 +476,6 @@ def _check_slice_relation(x2: float, x3: float) -> None:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    _resolve_tolerance(args)
     if args.grid < 2:
         raise DomainError(f"grid must be at least 2, got {args.grid}")
     axis = np.linspace(-1.0, 1.0, args.grid).tolist()
@@ -491,8 +485,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
         for x3 in axis:
             _check_slice_relation(x2, x3)
             rows.append([x2, x3, *bounds(x2, x3)])
-    fmt = _pick_format(args, "csv")
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(args, _csv_text(["x2", "x3", "x4_low", "x4_high"], rows))
     else:
         _emit(args, _json_dump({"which": args.which, "rows": rows}))
@@ -503,8 +496,7 @@ def cmd_mu(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args)
     x = _read_vector(args, tolerance)
     result = membership.mu_inverse(x) if args.inverse else membership.mu(x)
-    fmt = _pick_format(args, "json")
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, result.to_json())
     else:
         _emit(args, _csv_text(["x1", "x2", "x3", "x4"], [list(result.as_tuple())]))
@@ -515,151 +507,114 @@ def cmd_mu(args: argparse.Namespace) -> int:
 # parser plumbing
 
 
-def _add_vector_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "vector",
-        nargs="*",
-        type=float,
-        help="the four correlators x1 x2 x3 x4",
-    )
-    parser.add_argument(
-        "--input",
-        metavar="FILE",
-        help="read the vector from a JSON file (array of 4 numbers)",
-    )
+# the options more than one subcommand reads, each added to only those
+_SHARED_OPTIONS = {
+    "--input": dict(
+        metavar="FILE", help="read the vector from a JSON file (array of 4 numbers)"
+    ),
+    "--tolerance": dict(
+        type=float, help=f"numeric tolerance (default {_ENV_TOLERANCE} or 1e-9)"
+    ),
+    "--seed": dict(type=int, default=0, help="PRNG seed"),
+    "--output": dict(metavar="FILE", help="write output to FILE"),
+}
+
+
+def _add_command(sub, name, func, summary, options, fmt=None):
+    """Add subcommand `name`, running `func`, with the shared `options`, the
+    inline vector with `--input`, and `--format` with default `fmt`."""
+    parser = sub.add_parser(name, help=summary)
+    if "--input" in options:
+        parser.add_argument(
+            "vector", nargs="*", type=float, help="the four correlators x1 x2 x3 x4"
+        )
+    for flag in options:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
+    if fmt:
+        parser.add_argument(
+            "--format",
+            choices=("json", "csv"),
+            default=fmt,
+            help=f"output format (default {fmt})",
+        )
+    parser.set_defaults(func=func)
+    return parser
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help=f"numeric tolerance (default {_ENV_TOLERANCE} or 1e-9)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default=None, help="output format"
-    )
-    common.add_argument(
-        "--output", metavar="FILE", default=None, help="write output to FILE"
-    )
-    common.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for sampling (at least 1)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="corrset",
         description="membership, decomposition and realization for "
         "bipartite correlation vectors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    vector = ("--input", "--tolerance", "--output")
+    run = ("--tolerance", "--seed", "--output")
+    # name: handler, help, the shared options it reads, --format default
+    commands = {
+        "membership": (cmd_membership, "classify one vector", vector, "json"),
+        "decompose": (
+            cmd_decompose, "split a vector into extremal generators", vector, "json"
+        ),
+        "realize": (
+            cmd_realize, "synthesize a state and observables for a vector", vector
+        ),
+        "verify": (
+            cmd_verify,
+            "validate a stored realization and classify its correlations",
+            ("--tolerance", "--output"),
+            "json",
+        ),
+        "sample": (cmd_sample, "sample random quantum strategies", run, "json"),
+        "check-lemmas": (cmd_check_lemmas, "run the self-verification suite", run),
+        "slice": (
+            cmd_slice,
+            "tabulate x4 bounds over an (x2, x3) grid at x1 = 1",
+            ("--output",),
+            "csv",
+        ),
+        "mu": (cmd_mu, "apply the rescaled arcsine map to a vector", vector, "json"),
+    }
+    p = {name: _add_command(sub, name, *spec) for name, spec in commands.items()}
 
-    p = sub.add_parser(
-        "membership", parents=[common], help="classify one vector"
-    )
-    _add_vector_arguments(p)
-    p.set_defaults(func=cmd_membership)
+    p["verify"].add_argument("realization", help="path to a realization JSON file")
 
-    p = sub.add_parser(
-        "decompose",
-        parents=[common],
-        help="split a vector into extremal generators",
-    )
-    _add_vector_arguments(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser(
-        "realize",
-        parents=[common],
-        help="synthesize a state and observables for a vector",
-    )
-    _add_vector_arguments(p)
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="validate a stored realization and classify its correlations",
-    )
-    p.add_argument("realization", help="path to a realization JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "sample", parents=[common], help="sample random quantum strategies"
-    )
-    p.add_argument("count", type=int, help="number of strategies")
-    p.add_argument(
+    p["sample"].add_argument("count", type=int, help="number of strategies")
+    p["sample"].add_argument(
         "--dims",
         type=_parse_dims,
         default=(2, 2),
         help="local dimensions as 'A,B' (default 2,2)",
     )
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser(
-        "check-lemmas",
-        parents=[common],
-        help="run the self-verification suite",
+    p["sample"].add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes (at least 1); the rows never depend on it",
     )
-    p.add_argument(
+
+    p["check-lemmas"].add_argument(
         "--hessian-step", type=float, default=0.01, help="curvature grid step"
     )
-    p.add_argument(
-        "--hessian-margin",
-        type=float,
-        default=0.05,
-        help="curvature grid margin",
+    p["check-lemmas"].add_argument(
+        "--hessian-margin", type=float, default=0.05, help="curvature grid margin"
     )
-    p.add_argument(
+    p["check-lemmas"].add_argument(
         "--anglesum-step", type=float, default=0.02, help="angle-sum grid step"
     )
-    p.add_argument(
-        "--step",
-        type=float,
-        default=None,
-        help="override both grid steps at once",
-    )
-    p.add_argument(
+    p["check-lemmas"].add_argument(
         "--samples",
         type=int,
         default=100_000,
         help="sample count for the randomized checks",
     )
-    p.add_argument(
-        "--self-test-fail",
-        action="store_true",
-        help="inject a failing check to exercise the failure path",
-    )
-    p.set_defaults(func=cmd_check_lemmas)
 
-    p = sub.add_parser(
-        "slice",
-        parents=[common],
-        help="tabulate x4 bounds over an (x2, x3) grid at x1 = 1",
-    )
-    p.add_argument("grid", type=int, help="points per axis (>= 2)")
-    p.add_argument(
-        "which", choices=("C", "Q"), help="which set to slice"
-    )
-    p.set_defaults(func=cmd_slice)
+    p["slice"].add_argument("grid", type=int, help="points per axis (>= 2)")
+    p["slice"].add_argument("which", choices=("C", "Q"), help="which set to slice")
 
-    p = sub.add_parser(
-        "mu",
-        parents=[common],
-        help="apply the rescaled arcsine map to a vector",
-    )
-    _add_vector_arguments(p)
-    p.add_argument(
-        "--inverse", action="store_true", help="apply the inverse map"
-    )
-    p.set_defaults(func=cmd_mu)
-
+    p["mu"].add_argument("--inverse", action="store_true", help="apply the inverse map")
     return parser
 
 
@@ -670,8 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.parallel < 1:
-            raise DomainError(f"--parallel must be at least 1, got {args.parallel}")
         return args.func(args)
     except NotInQuantumSetError as exc:
         print(f"outside Q: {exc}", file=sys.stderr)

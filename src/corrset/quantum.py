@@ -177,6 +177,11 @@ class Realization:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Realization":
+        if not isinstance(data, dict):
+            raise InvariantViolationError(
+                "check 'serialization' failed: expected a JSON object with keys "
+                f"{', '.join(_JSON_FIELDS)}, got {type(data).__name__}"
+            )
         try:
             fields = _JSON_FIELDS.items()
             realization = cls(

@@ -73,6 +73,26 @@ def test_lvt_oracle_matches_facets():
     assert np.array_equal(vertex_side, facet_side)
 
 
+def test_lone_row_reaches_its_in_array_vertex_value():
+    # v, a row's vertex value inside an array, summed left to right; for v
+    # in (1, 2] the tolerance 2(v - 1) puts the bound 1 + tolerance/2 at v
+    # exactly, so a lone row of shape (4,) or (1, 4) is admitted only if its
+    # sums round as they do inside the array
+    rows = np.random.default_rng(25).uniform(-1.0, 1.0, size=(4000, 4))
+    coords = [
+        sum(rows[:, j] * sign for j, sign in enumerate(signs))
+        for signs in checks._VERTEX_BASIS
+    ]
+    values = sum(np.abs(c / 4.0) for c in coords)
+    boundary = np.flatnonzero((values > 1.0) & (values <= 2.0))
+    assert len(boundary) > 1000
+    for r in boundary:
+        tolerance = 2.0 * (values[r] - 1.0)
+        assert 1.0 + 0.5 * tolerance == values[r]
+        assert lvt_oracle_batch(rows[r], tolerance)
+        assert lvt_oracle_batch(rows[r : r + 1], tolerance).tolist() == [True]
+
+
 def test_lvt_oracle_scalar_agrees():
     rng = np.random.default_rng(8)
     for _ in range(300):

@@ -1,13 +1,16 @@
 """CLI tests, driven through main() so exit codes and streams are visible."""
 
+import argparse
 import hashlib
 import itertools
 import json
 import math
 import os
+import re
 import stat
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +21,18 @@ from corrset.corrvec import CanonicalForm, CorrelationVector
 from corrset.geometry import decompose
 
 T = "0.7071067811865476"
+# both check-lemmas grids at step 0.2
+COARSE = ("--hessian-step", "0.2", "--anglesum-step", "0.2")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a scan ran")
 
 
 def test_membership_inside(capsys):
@@ -188,9 +197,10 @@ def test_verify_reads_a_stored_block_diagonal_realization(
 
 
 def test_realize_csv_unsupported(capsys):
-    code, _, err = run(capsys, "realize", "--format", "csv", "0.5", "0", "0", "0")
-    assert code == 2
-    assert "json" in err
+    # realize writes matrices as JSON only; the parser has no --format for it
+    code, out, err = run(capsys, "realize", "0.5", "0", "0", "0", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format csv" in err
 
 
 def test_verify_rejects_corrupted(capsys, tmp_path):
@@ -318,6 +328,19 @@ def test_input_file_takes_numeric_strings(capsys, tmp_path):
     code, out, _ = run(capsys, "mu", "--input", str(source))
     inline = run(capsys, "mu", "0.5", "0.2", "0.1", "0")
     assert (code, out) == inline[:2]
+
+
+@pytest.mark.parametrize("text", ["5", '"abc"', "[1]", "null"])
+def test_verify_refuses_a_file_that_is_not_an_object(capsys, tmp_path, text):
+    target = tmp_path / "realization.json"
+    target.write_text(text)
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: check 'serialization' failed: expected a JSON object with keys "
+        "state, A0, A1, B0, B1, got "
+    )
+    assert err.count("\n") == 1
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -508,11 +531,10 @@ def test_sample_rejects_empty(capsys):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_parallel_must_be_positive(capsys, workers):
-    for argv in (["sample", "5"], ["check-lemmas"]):
-        code, out, err = run(capsys, *argv, "--parallel", workers)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: --parallel must be at least 1, got {workers}\n"
+    code, out, err = run(capsys, "sample", "5", "--parallel", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --parallel must be at least 1, got {workers}\n"
 
 
 def test_sample_bad_dims(capsys):
@@ -524,9 +546,7 @@ def test_sample_bad_dims(capsys):
 
 
 def test_check_lemmas_passes(capsys):
-    code, out, _ = run(
-        capsys, "check-lemmas", "--step", "0.2", "--samples", "2000"
-    )
+    code, out, _ = run(capsys, "check-lemmas", *COARSE, "--samples", "2000")
     data = json.loads(out)
     assert code == 0
     assert data["all_passed"] is True
@@ -538,48 +558,44 @@ def test_check_lemmas_passes(capsys):
     assert "vertex-oracle-agreement" in names
 
 
-def test_check_lemmas_output_ignores_parallel(capsys):
-    # the scans run in one process; --parallel is accepted and changes nothing
-    argv = ("check-lemmas", "--step", "0.05", "--samples", "2000")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert run(capsys, *argv, "--parallel", "2") == (0, out, "")
+def test_check_lemmas_refuses_parallel(capsys, monkeypatch):
+    # the scans run in one process, so the command has no --parallel
+    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", _no_scan)
+    code, out, err = run(capsys, "check-lemmas", "--parallel", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --parallel 2" in err
 
 
-def test_check_lemmas_self_test_fail(capsys):
-    code, out, err = run(
-        capsys,
-        "check-lemmas",
-        "--step",
-        "0.2",
-        "--samples",
-        "500",
-        "--self-test-fail",
-    )
+def test_check_lemmas_self_test_fail(capsys, monkeypatch):
+    # a failing check turns all_passed false, exits 1 and is named on stderr
+    monkeypatch.setattr(checks, "ghz_contradiction", lambda relaxed=False: relaxed)
+    code, out, err = run(capsys, "check-lemmas", *COARSE, "--samples", "500")
     assert code == 1
-    assert json.loads(out)["all_passed"] is False
-    assert "forced-self-test-failure" in err
+    data = json.loads(out)
+    assert data["all_passed"] is False
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == [
+        "parity-contradiction"
+    ]
+    assert err == "failed checks: parity-contradiction\n"
 
 
 def test_check_lemmas_csv_unsupported(capsys, monkeypatch):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a scan ran")
-
-    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", no_scan)
+    # the nested results are JSON only; the parser has no --format for it
+    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", _no_scan)
     code, out, err = run(capsys, "check-lemmas", "--format", "csv")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "json" in err
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format csv" in err
 
 
 def test_check_lemmas_rejects_bad_samples_and_step(capsys):
     for argv in (
         ["--samples", "0"],
         ["--samples", "-1"],
-        ["--step", "1e-300"],
-        ["--step", "0"],
-        ["--step", "-0.0"],
+        *(
+            [flag, step]
+            for flag in ("--hessian-step", "--anglesum-step")
+            for step in ("1e-300", "0", "-0.0")
+        ),
     ):
         code, out, err = run(capsys, "check-lemmas", *argv)
         assert code == 2
@@ -590,11 +606,8 @@ def test_check_lemmas_rejects_bad_samples_and_step(capsys):
 
 def test_check_lemmas_rejects_negative_seed(capsys, monkeypatch):
     # default_rng refuses a negative seed; the refusal comes before any scan
-    def no_scan(*args, **kwargs):
-        raise AssertionError("a scan ran")
-
-    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", no_scan)
-    monkeypatch.setattr(cli.checks, "angle_sum_max_scan", no_scan)
+    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", _no_scan)
+    monkeypatch.setattr(cli.checks, "angle_sum_max_scan", _no_scan)
     for seed in ("-1", "-5"):
         code, out, err = run(capsys, "check-lemmas", "--seed", seed)
         assert code == 2
@@ -657,7 +670,7 @@ def test_check_lemmas_loose_tolerance_output_pinned(capsys):
     code, out, err = run(
         capsys,
         "check-lemmas",
-        "--step", "0.2",
+        *COARSE,
         "--seed", "3",
         "--samples", "20000",
         "--tolerance", "0.3",
@@ -697,7 +710,7 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
         recording(checks, name)
     code, _, _ = run(
         capsys,
-        "check-lemmas", "--step", "0.2", "--seed", "4", "--samples", str(samples),
+        "check-lemmas", *COARSE, "--seed", "4", "--samples", str(samples),
     )
     assert code == 0
     rows = {name: sum(map(len, blocks)) for name, blocks in seen.items()}
@@ -740,7 +753,7 @@ def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
     recording(checks, "_oracle_verdicts")
     code, out, _ = run(
         capsys,
-        "check-lemmas", "--step", "0.2", "--seed", "6", "--samples", str(samples),
+        "check-lemmas", *COARSE, "--seed", "6", "--samples", str(samples),
     )
     assert code == 0
     assert {name: [n for n, _ in calls] for name, calls in seen.items()} == {
@@ -857,11 +870,13 @@ def test_sampled_check_memory_does_not_grow_with_samples(check):
 
 
 def test_oracle_path_disagreement_names_its_row(capsys, monkeypatch):
-    monkeypatch.setattr(checks, "_VERTEX_BASIS", 2.0 * checks._VERTEX_BASIS)
+    # a fault in the facet path: every CHSH value doubled
+    largest = membership._largest_combination
+    monkeypatch.setattr(membership, "_largest_combination", lambda x: 2 * largest(x))
     points = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, -0.2, 0.3, 0.25]])
     vertex = float(np.abs(points @ checks._VERTEX_BASIS.T / 4.0).sum(axis=-1)[1])
     facet = float(
-        max(np.abs(points[1]).max(), 0.5 * membership.chsh_combinations(points)[1].max())
+        max(np.abs(points[1]).max(), membership.chsh_combinations(points)[1].max())
     )
     with pytest.raises(cli.InternalCheckError) as info:
         checks.lvt_oracle_batch(points)
@@ -872,7 +887,7 @@ def test_oracle_path_disagreement_names_its_row(capsys, monkeypatch):
         f"facet value {facet!r}"
     )
 
-    code, out, err = run(capsys, "check-lemmas", "--step", "0.2", "--samples", "100")
+    code, out, err = run(capsys, "check-lemmas", *COARSE, "--samples", "100")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: vertex and facet oracle paths disagree by ")
@@ -981,6 +996,19 @@ def test_output_not_written_on_error(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_error_names_the_path_given(capsys, tmp_path, monkeypatch, fmt):
+    # the temporary file beside the target is not what the user gave
+    monkeypatch.chdir(tmp_path)
+    for target in (str(tmp_path / "missing" / "out.json"), "missing/out.json"):
+        code, out, err = run(
+            capsys, "mu", "0.5", "0", "0", "0", "--format", fmt, "--output", target
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_file_written(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(
@@ -1007,3 +1035,112 @@ def test_broken_pipe_exits_quietly(capsys, monkeypatch):
     code, _, err = run(capsys, "membership", "0", "0", "0", "0")
     assert code == 1
     assert err == ""
+
+
+# the options of each subcommand, 34 in all, and the ones it no longer takes
+OPTIONS = {
+    "membership": {"--input", "--tolerance", "--output", "--format"},
+    "decompose": {"--input", "--tolerance", "--output", "--format"},
+    "realize": {"--input", "--tolerance", "--output"},
+    "verify": {"--tolerance", "--output", "--format"},
+    "sample": {"--tolerance", "--seed", "--output", "--format", "--dims", "--parallel"},
+    "check-lemmas": {
+        "--tolerance",
+        "--seed",
+        "--output",
+        "--hessian-step",
+        "--hessian-margin",
+        "--anglesum-step",
+        "--samples",
+    },
+    "slice": {"--output", "--format"},
+    "mu": {"--input", "--tolerance", "--output", "--format", "--inverse"},
+}
+REMOVED = {
+    "membership": ("--seed", "--parallel"),
+    "decompose": ("--seed", "--parallel"),
+    "realize": ("--seed", "--parallel", "--format"),
+    "verify": ("--seed", "--parallel"),
+    "sample": (),
+    "check-lemmas": ("--parallel", "--format", "--step", "--self-test-fail"),
+    "slice": ("--seed", "--parallel", "--tolerance"),
+    "mu": ("--seed", "--parallel"),
+}
+# a valid command line of each subcommand, and a valid value of each option
+ARGV = {
+    "membership": ["0.5", "0", "0", "0"],
+    "decompose": ["0.5", "0", "0", "0"],
+    "realize": ["0.5", "0", "0", "0"],
+    "verify": ["realization.json"],
+    "sample": ["3"],
+    "check-lemmas": [*COARSE, "--samples", "100"],
+    "slice": ["3", "Q"],
+    "mu": ["0.5", "0", "0", "0"],
+}
+VALUES = {
+    "--input": ["vector.json"],
+    "--tolerance": ["1e-9"],
+    "--seed": ["1"],
+    "--output": ["out.json"],
+    "--format": ["json"],
+    "--parallel": ["2"],
+    "--dims": ["2,3"],
+    "--hessian-step": ["0.2"],
+    "--hessian-margin": ["0.1"],
+    "--anglesum-step": ["0.2"],
+    "--samples": ["10"],
+    "--step": ["0.2"],
+    "--inverse": [],
+    "--self-test-fail": [],
+}
+
+
+def parser_options():
+    """The settable flags of each subcommand of `build_parser()`."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            flag for a in command._actions if a.dest != "help" for flag in a.option_strings
+        }
+        for name, command in sub.choices.items()
+    }
+
+
+def test_each_subcommand_takes_only_its_own_options(capsys, monkeypatch):
+    assert parser_options() == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 34
+    for command, flags in OPTIONS.items():
+        for flag in flags:
+            args = cli.build_parser().parse_args(
+                [command, *ARGV[command], flag, *VALUES[flag]]
+            )
+            assert args.func.__name__ == "cmd_" + command.replace("-", "_")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling ran")
+
+    monkeypatch.setattr(cli.checks, "curvature_positivity_scan", _no_scan)
+    monkeypatch.setattr(cli.checks, "angle_sum_max_scan", _no_scan)
+    monkeypatch.setattr(cli.quantum, "sample_correlations", no_sampling)
+    pairs = [(command, flag) for command, flags in REMOVED.items() for flag in flags]
+    assert len(pairs) == 18
+    for command, flag in pairs:
+        given = [flag, *VALUES[flag]]
+        argv = [command, *ARGV[command], *given]
+        with pytest.raises(SystemExit) as refused:
+            cli.build_parser().parse_args(argv)
+        assert refused.value.code == 2
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(given)}" in err
+
+
+def test_readme_lists_each_subcommands_options():
+    # README's per-command bullets, `- `name`: ...`, name exactly the flags
+    # each subparser has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme[readme.index("## Command line") : readme.index("## Library")]
+    bullets = re.findall(r"^- `([\w-]+)`: (.*(?:\n  .*)*)", section, re.MULTILINE)
+    listed = {name: set(re.findall(r"`(--[\w-]+)", text)) for name, text in bullets}
+    assert listed == parser_options()

@@ -328,9 +328,7 @@ def test_array_row_maxima_bitwise_the_last_axis_max(xs):
 def test_one_row_is_bitwise_its_row_in_a_longer_array(func):
     # a row's pattern sums are the same floats alone, of shape (4,) or
     # (1, 4), as inside a longer array; a matrix product would round a lone
-    # row's sums in another order.  lvt_oracle_batch still forms its vertex
-    # coordinates by one, which could move a verdict within an ulp of its
-    # bound only
+    # row's sums in another order
     rng = np.random.default_rng(24)
     grid = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=4)))
     rows = np.concatenate([grid, rng.uniform(-1.0, 1.0, size=(1000, 4))])
