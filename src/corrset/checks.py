@@ -1,7 +1,8 @@
-"""Independent brute-force and grid-scan verification oracles.
+"""Independent brute-force and grid-scan verification oracles, and the
+`check-lemmas` suite that runs them.
 
-Nothing here reuses the decision logic of `membership` or `geometry`; the
-point of this module is redundancy.  It provides:
+The oracles and scans reuse none of the decision logic of `membership` or
+`geometry`; the point of this module is redundancy.  It provides:
 
 * `lvt_oracle_batch` - classical-set membership decided from the vertex
   description of the polytope instead of its facet inequalities.  The 16
@@ -27,6 +28,14 @@ point of this module is redundancy.  It provides:
 * `ghz_contradiction` - the 64-case enumeration showing that no local
   +-1 assignment reproduces the four three-party correlators (1, 1, 1, -1)
   of the canonical parity argument.
+
+* `lemma_checks` - the `check-lemmas` suite: both scans, the parity
+  enumeration and two sampled checks, one record each with its pass rule.
+  The sampled checks draw uniform points from the box in blocks of 8,192
+  rows, the same floats as one draw of them all.  One asks that x is in Q
+  exactly when mu(x) is in C, leaving out points whose Q margin lies
+  within 1e-7 of zero; the other that the oracle's vertex and facet
+  verdicts agree.
 
 Both scans run through one driver, `_min_scan`, in one process.  The
 scanned value at (i, j, k) is the same float at its mirror (j, i, k): IEEE
@@ -100,6 +109,11 @@ _BUCKET_ROWS = 64
 _MAX_TABLE_BYTES = 2**32  # 4 GiB
 # At least every value np.arcsin returns: fl(pi/2), which it gives at 1.0
 _ARCSIN_CAP = 0.5 * math.pi
+# Rows per draw of the sampled checks; a block's largest temporary, the
+# (rows, 8) sign-pattern sums, is 0.5 MB
+_DRAW_BLOCK = 8192
+# The mu check leaves out points whose Q margin is within this of zero
+_MU_BAND = 1e-7
 
 CURVATURE_THRESHOLD = -1e-9
 ANGLE_SUM_THRESHOLD = 1e-9
@@ -473,3 +487,104 @@ def ghz_contradiction(relaxed: bool = False) -> bool:
         if relaxed or a1 * b1 * c1 == -1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the check-lemmas suite
+
+
+def _draws(samples: int, seed: int):
+    """`samples` uniform draws from the box by `default_rng(seed)`, in
+    blocks of `_DRAW_BLOCK` rows.
+
+    Consecutive `uniform` calls on one generator give the same floats as one
+    call for all rows, and each sampled check acts on every row alone, so a
+    count summed over the blocks is the one-draw count while the
+    temporaries stay the size of one block.
+    """
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, samples - start)
+        yield rng.uniform(-1.0, 1.0, size=(rows, 4))
+
+
+def _mu_equivalence_check(samples: int, seed: int, tolerance: float) -> dict:
+    """Check that x is in Q exactly when mu(x) is in C.
+
+    The points are `samples` uniform draws of seed `seed`, checked a block at
+    a time, with one arcsine pass per block for both margins; the Q verdict
+    is `membership.quantum_verdicts`'.  Verdicts within `_MU_BAND` of the
+    arcsine bound are not compared.
+    """
+    disagreements = 0
+    for points in _draws(samples, seed):
+        angles = np.arcsin(points)
+        q_margins, verdict_q = membership.quantum_verdicts(points, tolerance, angles)
+        angles *= 2.0 / np.pi  # mu_array(points), in place
+        verdict_c = membership.classical_margins(angles) >= -tolerance
+        off_band = np.abs(q_margins) > _MU_BAND
+        disagreements += int((verdict_q != verdict_c)[off_band].sum())
+    return {"name": "mu-equivalence", "passed": disagreements == 0,
+            "samples": samples, "disagreements_outside_band": disagreements}
+
+
+def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
+    """Check that the facet and vertex descriptions of C agree.
+
+    The points are `samples` uniform draws of seed `seed + 1`, checked a
+    block at a time.  `_oracle_verdicts` gives both verdicts from one CHSH
+    pass per block, and compares the vertex and facet support values of
+    `lvt_oracle_batch` on every block.
+    """
+    disagreements = 0
+    for points in _draws(samples, seed + 1):
+        vertex, facet = _oracle_verdicts(points, tolerance)
+        disagreements += int((facet != vertex).sum())
+    return {"name": "vertex-oracle-agreement", "passed": disagreements == 0,
+            "samples": samples, "disagreements": disagreements}
+
+
+def lemma_checks(
+    hessian_step: float, hessian_margin: float, anglesum_step: float,
+    samples: int, seed: int, tolerance: float,
+) -> list[dict]:
+    """Run the five checks of `corrset check-lemmas`; one record each.
+
+    The curvature and angle-sum scans at their grids, the parity
+    enumeration with its relaxed control, and the mu-equivalence and
+    vertex-oracle checks on `samples` uniform draws of seeds `seed` and
+    `seed + 1`.  Each record names its check and carries `passed` and the
+    numbers that decide it.  A bad sample count, seed or either grid raises
+    DomainError before anything runs.
+    """
+    if samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {samples}")
+    if seed < 0:
+        raise DomainError(f"check-lemmas seed must be non-negative, got {seed}")
+    # refuse either grid before the other scan runs
+    _check_scan_params(hessian_step, hessian_margin)
+    _check_scan_params(anglesum_step, None)
+    curvature = curvature_positivity_scan(step=hessian_step, margin=hessian_margin)
+    angle = angle_sum_max_scan(step=anglesum_step)
+    return [
+        # no violation means min_value >= threshold: the minimum is a scanned value
+        {
+            "name": "curvature-positivity",
+            "passed": curvature.violations == 0,
+            **curvature.to_json_dict(),
+        },
+        # pi + best and -(pi + threshold) round apart, so min_value is read too
+        {
+            "name": "angle-sum-maximum",
+            "passed": angle.violations == 0
+            and -ANGLE_SUM_THRESHOLD <= angle.min_value <= 2.0 * anglesum_step,
+            "max_value": math.pi - angle.min_value,
+            **angle.to_json_dict(),
+        },
+        {
+            "name": "parity-contradiction",
+            "passed": ghz_contradiction() and not ghz_contradiction(relaxed=True),
+        },
+        _mu_equivalence_check(samples, seed, tolerance),
+        _oracle_agreement_check(samples, seed, tolerance),
+    ]

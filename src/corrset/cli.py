@@ -1,4 +1,6 @@
-"""Command line interface.
+"""Command line interface: it parses arguments, reads and writes the
+streams and files, and sets the exit code.  The numbers come from the
+library modules; the `check-lemmas` suite is `checks.lemma_checks`.
 
 Subcommands
 -----------
@@ -54,11 +56,10 @@ from .errors import (
 )
 
 _ENV_TOLERANCE = "CORRSET_TOLERANCE"
-_MU_BAND = 1e-7
 _REALIZE_RESIDUAL_BOUND = 1e-8
 _SLICE_RELATION_TOLERANCE = 1e-9
-# rows per draw of the sampled checks and most per block of `sample`'s text;
-# a block's largest temporary, the (rows, 8) sign-pattern sums, is 0.5 MB
+# most rows per block of `sample`'s verdicts and text; a block's largest
+# temporary, the (rows, 8) sign-pattern sums, is 0.5 MB
 _CHECK_BLOCK = 8192
 # the CSV columns of a membership report's verdicts and margins
 _VERDICT_COLUMNS = ("in_C", "in_Q", "margin_C", "margin_Q")
@@ -186,17 +187,18 @@ def cmd_realize(args: argparse.Namespace) -> int:
     x = _read_vector(args, tolerance)
     decomposition = geometry.decompose(x, tolerance)
     realization = quantum.realize_mixture(decomposition)
-    reproduced = quantum.expectation(realization)
-    residual = max(
-        abs(a - b) for a, b in zip(reproduced.as_tuple(), x.as_tuple())
-    )
-    if residual >= _REALIZE_RESIDUAL_BOUND:
+    reproduced = quantum.expectation(realization).as_tuple()
+    # checked against the vector realized, reported against x
+    realized = decomposition.reconstruct().as_tuple()
+    error = max(abs(a - b) for a, b in zip(reproduced, realized))
+    if error >= _REALIZE_RESIDUAL_BOUND:
         raise InternalCheckError(
-            f"realization residual {residual:.3e} exceeds "
+            f"realization residual {error:.3e} exceeds "
             f"{_REALIZE_RESIDUAL_BOUND:g}"
         )
     payload = realization.to_json_dict()
-    payload["verified_residual"] = residual
+    pairs = zip(reproduced, x.as_tuple())
+    payload["verified_residual"] = max(abs(a - b) for a, b in pairs)
     _emit(args, _json_dump(payload))
     return 0
 
@@ -279,122 +281,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _blocked_count(samples: int, seed: int, count) -> int:
-    """Sum `count(points)` over `samples` uniform draws from the box.
-
-    The draws come from `default_rng(seed)`, `_CHECK_BLOCK` rows at a time.
-    Consecutive `uniform` calls on one generator give the same floats as one
-    call for all rows, and each check acts on every row alone, so the total
-    is the one-draw count while the temporaries stay the size of one block.
-    """
-    rng = np.random.default_rng(seed)
-    total = 0
-    for start in range(0, samples, _CHECK_BLOCK):
-        rows = min(_CHECK_BLOCK, samples - start)
-        total += count(rng.uniform(-1.0, 1.0, size=(rows, 4)))
-    return total
-
-
-def _mu_equivalence_check(samples: int, seed: int, tolerance: float) -> dict:
-    """Check that x is in Q exactly when mu(x) is in C.
-
-    The points are `samples` uniform draws of seed `seed`, checked a block at
-    a time by `_blocked_count`, with one arcsine pass per block for both
-    margins; the Q verdict is `membership.quantum_verdicts`'.  Verdicts
-    within `_MU_BAND` of the arcsine bound are not compared.
-    """
-
-    def block_disagreements(points: np.ndarray) -> int:
-        angles = np.arcsin(points)
-        q_margins, verdict_q = membership.quantum_verdicts(points, tolerance, angles)
-        angles *= 2.0 / np.pi  # mu_array(points), in place
-        c_margins = membership.classical_margins(angles)
-        verdict_c = c_margins >= -tolerance
-        off_band = np.abs(q_margins) > _MU_BAND
-        return int((verdict_q != verdict_c)[off_band].sum())
-
-    disagreements = _blocked_count(samples, seed, block_disagreements)
-    return {
-        "name": "mu-equivalence",
-        "passed": disagreements == 0,
-        "samples": samples,
-        "disagreements_outside_band": disagreements,
-    }
-
-
-def _oracle_agreement_check(samples: int, seed: int, tolerance: float) -> dict:
-    """Check that the facet and vertex descriptions of C agree.
-
-    The points are `samples` uniform draws of seed `seed + 1`, checked a
-    block at a time by `_blocked_count`.  `checks._oracle_verdicts` gives
-    both verdicts from one CHSH pass per block, and compares the vertex and
-    facet support values of `lvt_oracle_batch` on every block.
-    """
-
-    def block_disagreements(points: np.ndarray) -> int:
-        vertex, facet = checks._oracle_verdicts(points, tolerance)
-        return int((facet != vertex).sum())
-
-    disagreements = _blocked_count(samples, seed + 1, block_disagreements)
-    return {
-        "name": "vertex-oracle-agreement",
-        "passed": disagreements == 0,
-        "samples": samples,
-        "disagreements": disagreements,
-    }
-
-
 def cmd_check_lemmas(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
-    if args.samples < 1:
-        raise DomainError(f"sample count must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise DomainError(f"check-lemmas seed must be non-negative, got {args.seed}")
-    # refuse either grid before the other scan runs
-    checks._check_scan_params(args.hessian_step, args.hessian_margin)
-    checks._check_scan_params(args.anglesum_step, None)
-
-    results = []
-
-    scan = checks.curvature_positivity_scan(
-        step=args.hessian_step, margin=args.hessian_margin
+    results = checks.lemma_checks(
+        args.hessian_step, args.hessian_margin, args.anglesum_step,
+        args.samples, args.seed, _resolve_tolerance(args),
     )
-    results.append(
-        {
-            "name": "curvature-positivity",
-            "passed": scan.violations == 0
-            and scan.min_value >= checks.CURVATURE_THRESHOLD,
-            **scan.to_json_dict(),
-        }
-    )
-
-    scan = checks.angle_sum_max_scan(step=args.anglesum_step)
-    attained = math.pi - scan.min_value
-    results.append(
-        {
-            "name": "angle-sum-maximum",
-            "passed": scan.violations == 0
-            and scan.min_value >= -checks.ANGLE_SUM_THRESHOLD
-            and scan.min_value <= 2.0 * args.anglesum_step,
-            "max_value": attained,
-            **scan.to_json_dict(),
-        }
-    )
-
-    results.append(
-        {
-            "name": "parity-contradiction",
-            "passed": checks.ghz_contradiction()
-            and not checks.ghz_contradiction(relaxed=True),
-        }
-    )
-
-    results.append(_mu_equivalence_check(args.samples, args.seed, tolerance))
-    results.append(_oracle_agreement_check(args.samples, args.seed, tolerance))
-
     all_passed = all(r["passed"] for r in results)
-    payload = {"all_passed": all_passed, "checks": results}
-    _emit(args, _json_dump(payload))
+    _emit(args, _json_dump({"all_passed": all_passed, "checks": results}))
     if not all_passed:
         failed = [r["name"] for r in results if not r["passed"]]
         print("failed checks: " + ", ".join(failed), file=sys.stderr)

@@ -339,17 +339,16 @@ def decompose(
     Q at `tolerance` raises NotInQuantumSetError naming x, margin_C and
     margin_Q as `evaluate` reports them.  `tolerance` only admits the input.
     Whether the input is taken as a point of the curved boundary is decided
-    by the same margin against the fixed 1e-9 reconstruction bound, and
-    which exit the ray takes against pi itself: the face split clamps its
-    weight, so a face point just outside the set would leave its clamp in
-    the residual.  A point that only `membership`'s ray shift admits takes
-    the curved exit.  The result reconstructs the input within 1e-9 per
-    component; that bound is verified before returning, and its failure
-    raises InternalCheckError naming the input, the residual and the exit
-    taken: origin, boundary, face or curved.  The check fails for inputs
-    that a tolerance above 1e-9 admits although they lie outside the
-    quantum set by more than 1e-9; it has not been seen to fail for
-    members of the set.
+    by the same margin's size against the fixed 1e-9 reconstruction bound,
+    and which exit the ray takes against pi itself: the face split clamps
+    its weight, so a face point just outside the set would leave its clamp
+    in the residual.  An admitted input outside Q by more than that takes
+    the curved exit, whose weight clamps at 1: it is decomposed as x / gamma,
+    the point where its ray leaves Q, with gamma = y1 / sin(theta1) > 1.
+    The result reconstructs x / gamma (x itself, gamma = 1, for any other
+    input) within 1e-9 per component; that bound is verified before
+    returning, and its failure raises InternalCheckError naming the input,
+    the residual and the exit taken: origin, boundary, face or curved.
     """
     _, margin, inside = membership.quantum_verdict(x.as_tuple(), tolerance)
     if not inside:
@@ -362,12 +361,12 @@ def decompose(
     y = form.canonical.as_tuple()
 
     terms: tuple[tuple[float, GeneratorPoint], ...]
+    gamma = 1.0  # the reconstruction is checked against x / gamma
     if y[0] == 0.0:
         # the zero vector; s-order forces all components to vanish with y1
         route, terms = "origin", ((1.0, GeneratorPoint.origin()),)
-    elif -tolerance <= margin <= _RECONSTRUCTION_TOLERANCE:
-        # on the curved boundary: single extremal term.  A point only the
-        # ray shift admits takes the curved exit, whose weight clamps at 1
+    elif abs(margin) <= _RECONSTRUCTION_TOLERANCE:
+        # on the curved boundary: single extremal term
         route, terms = "boundary", ((1.0, _generator(*map(math.asin, y[:3]))),)
     else:
         weight = y[0]  # of the exit point; the origin takes the rest
@@ -381,7 +380,8 @@ def decompose(
             # the ray exits through the curved boundary at sin(theta1) * z
             theta1 = _boundary_angle(z)
             (phi2, phi3, _), _ = _ray_arcsines(z, 0.5 * math.pi - theta1)
-            weight = min(1.0, weight / math.sin(theta1))
+            gamma = weight / math.sin(theta1)
+            weight, gamma = min(1.0, gamma), max(1.0, gamma)
             route, terms = "curved", ((weight, _generator(theta1, phi2, phi3)),)
         if 1.0 - weight > 0.0:
             terms += ((1.0 - weight, GeneratorPoint.origin()),)
@@ -393,7 +393,7 @@ def decompose(
     # 1 to 3 weights in [0, 1] summing to 1 by construction: skip the checks
     result = _unchecked(Decomposition, {"terms": terms})
     residual = max(
-        abs(a - b)
+        abs(a - b / gamma)
         for a, b in zip(result.reconstruct().as_tuple(), x.as_tuple())
     )
     if residual > _RECONSTRUCTION_TOLERANCE:

@@ -2,11 +2,16 @@
 
 `bench/tracing.py` looks each target up with `owner.__dict__[attr]`, so a
 refactor that unbinds one of those names breaks `bench/run.py --trace 1`
-with a KeyError.  This test catches that without running the benchmark.
+with a KeyError, and a caller that reaches a function by another name runs
+it unseen.  These tests catch both without running the benchmark.
 """
 
+import contextlib
 import importlib
+import io
 from pathlib import Path
+
+from corrset import cli
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -22,3 +27,24 @@ def test_every_trace_target_is_bound(monkeypatch):
         if attr not in vars(owner)
     ]
     assert not missing, missing
+
+
+def test_traced_lemmas_run_sees_both_scans(monkeypatch):
+    # the suite calls the scans by their `checks` names, where the tracer
+    # wraps them; the mu check's classical margins are counted per row
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    argv = ["check-lemmas", "--hessian-step", "0.1", "--anglesum-step", "0.1"]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--samples", "1000"])
+    finally:
+        uninstall()
+    assert code == 0
+    assert tracer.totals["checks.curvature_scan"][0] == 1
+    assert tracer.totals["checks.angle_sum_scan"][0] == 1
+    assert tracer.counts["checks.curvature_scan.points"] == 29_791
+    assert tracer.counts["checks.angle_sum_scan.points"] == 250_047
+    assert tracer.counts["membership.classical_margins.points"] == 1_000

@@ -128,14 +128,53 @@ def test_decompose_outside_q(capsys):
     assert "margin_Q" in err
 
 
-def test_decompose_internal_error_is_a_stderr_line(capsys):
-    # admitted at 1e-6, but its reconstruction misses by 3.0e-7
-    x = ("0.7071067811865475",) * 3 + ("-0.7071070811865474",)
-    code, out, err = run(capsys, "decompose", "--tolerance", "1e-6", *x)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: decomposition residual 3.000e-07")
-    assert "-0.7071070811865474" in err
+# admitted at 1e-6, though its arcsine margin reads -3.0e-7
+LOOSE = ("0.7071067811865475",) * 3 + ("-0.7071070811865474",)
+
+
+def test_decompose_admitted_point_outside_q_decomposes_its_crossing(capsys):
+    # decomposed as the point where its ray leaves Q; `residual` is the
+    # difference from x.  Its reconstruction missed x by 3.0e-7 and exited 3
+    code, out, err = run(capsys, "decompose", "--tolerance", "1e-6", *LOOSE)
+    assert (code, err) == (0, "")
+    residual = json.loads(out)["residual"]
+    x = [float(v) for v in LOOSE]
+    crossing = [v + r for v, r in zip(x, residual)]
+    assert all(7.4e-8 < abs(r) < 7.6e-8 for r in residual)
+    # on the ray through x, and in Q at the default tolerance
+    assert max(abs(c / v - crossing[0] / x[0]) for c, v in zip(crossing, x)) < 1e-12
+    code, out, _ = run(capsys, "membership", *map(repr, crossing))
+    assert code == 0 and json.loads(out)["in_Q"] is True
+
+
+@pytest.mark.parametrize(
+    "tolerance, x, low, high",
+    [
+        ("1e-6", LOOSE, 7.4e-8, 7.6e-8),
+        ("1e-3", (*LOOSE[:3], "-0.7075"), 9.8e-5, 9.9e-5),
+    ],
+)
+def test_realize_admitted_point_outside_q(capsys, tolerance, x, low, high):
+    # the realization reproduces the decomposition's point, and
+    # `verified_residual` is its distance to x; it was checked against x and
+    # exited 3 with "realization residual 7.500e-08 exceeds 1e-08"
+    code, out, err = run(capsys, "realize", "--tolerance", tolerance, *x)
+    assert (code, err) == (0, "")
+    assert low < json.loads(out)["verified_residual"] < high
+
+
+def test_realize_checks_the_realized_point(capsys, monkeypatch):
+    # an expectation 2e-8 off the decomposition's point fails the check
+    expectation = quantum.expectation
+
+    def moved(realization):
+        v = expectation(realization).as_tuple()
+        return CorrelationVector(v[0] + 2e-8, *v[1:])
+
+    monkeypatch.setattr(quantum, "expectation", moved)
+    code, out, err = run(capsys, "realize", "0.5", "0", "0", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: realization residual 2.000e-08 exceeds 1e-08")
 
 
 def test_decompose_member_whose_face_point_lies_just_outside_q(capsys):
@@ -713,7 +752,7 @@ def _one_draw_mu_check(samples, seed, tolerance):
     q_margins, verdict_q = membership.quantum_verdicts(points, tolerance)
     c_margins = membership.classical_margins(membership.mu_array(points))
     verdict_c = c_margins >= -tolerance
-    off_band = np.abs(q_margins) > cli._MU_BAND
+    off_band = np.abs(q_margins) > checks._MU_BAND
     disagreements = int((verdict_q != verdict_c)[off_band].sum())
     return {
         "name": "mu-equivalence",
@@ -743,14 +782,14 @@ def _one_draw_oracle_check(samples, seed, tolerance):
 @pytest.mark.parametrize("tolerance", [1e-9, 0.3])
 @pytest.mark.parametrize(
     "samples",
-    [1, cli._CHECK_BLOCK - 1, cli._CHECK_BLOCK, cli._CHECK_BLOCK + 1, 20_000],
+    [1, checks._DRAW_BLOCK - 1, checks._DRAW_BLOCK, checks._DRAW_BLOCK + 1, 20_000],
 )
 def test_blocked_checks_match_one_draw(samples, tolerance):
     for seed in (0, 3):
-        assert cli._mu_equivalence_check(
+        assert checks._mu_equivalence_check(
             samples, seed, tolerance
         ) == _one_draw_mu_check(samples, seed, tolerance)
-        assert cli._oracle_agreement_check(
+        assert checks._oracle_agreement_check(
             samples, seed, tolerance
         ) == _one_draw_oracle_check(samples, seed, tolerance)
 
@@ -775,7 +814,7 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
     # once and reads them for both margins, the oracle check forms both
     # verdicts in one call; their blocks, in call order, are the one-draw
     # points of each check's seed, and the unshared paths are not taken
-    samples = 2 * cli._CHECK_BLOCK + 5
+    samples = 2 * checks._DRAW_BLOCK + 5
     drawn = np.random.default_rng(4).uniform(-1.0, 1.0, size=(samples, 4))
     arcsines, mu = np.arcsin(drawn), membership.mu_array(drawn)
     oracle_drawn = np.random.default_rng(5).uniform(-1.0, 1.0, size=(samples, 4))
@@ -785,7 +824,7 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
         func = getattr(owner, name)
 
         def wrapper(points, *args):
-            assert len(points) <= cli._CHECK_BLOCK
+            assert len(points) <= checks._DRAW_BLOCK
             # a copy, as the mu check turns its arcsines into mu in place
             seen.setdefault(name, []).append(np.array(points))
             return func(points, *args)
@@ -820,7 +859,7 @@ def _bits(values):
 def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
     # --samples one past a block leaves a last block of one row; each check's
     # values there are the bits its row has in one call over all the draws
-    samples = cli._CHECK_BLOCK + 1
+    samples = checks._DRAW_BLOCK + 1
     angles = np.arcsin(np.random.default_rng(6).uniform(-1.0, 1.0, size=(samples, 4)))
     oracle_drawn = np.random.default_rng(7).uniform(-1.0, 1.0, size=(samples, 4))
     q_margins = membership._arcsine_margins(angles)
@@ -846,7 +885,7 @@ def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
     )
     assert code == 0
     assert {name: [n for n, _ in calls] for name, calls in seen.items()} == {
-        name: [cli._CHECK_BLOCK, 1] for name in seen
+        name: [checks._DRAW_BLOCK, 1] for name in seen
     }
 
     def joined(name, part=slice(None)):
@@ -857,7 +896,7 @@ def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
     assert np.array_equal(joined("_oracle_verdicts", 0), vertex)
     assert np.array_equal(joined("_oracle_verdicts", 1), facet)
     results = {r["name"]: r for r in json.loads(out)["checks"]}
-    off_band = np.abs(q_margins) > cli._MU_BAND
+    off_band = np.abs(q_margins) > checks._MU_BAND
     mu_count = ((q_margins >= -1e-9) != (c_margins >= -1e-9))[off_band].sum()
     assert results["mu-equivalence"]["disagreements_outside_band"] == mu_count
     oracle_count = (vertex != facet).sum()
@@ -900,7 +939,7 @@ def test_shared_check_passes_match_the_unshared_ones(monkeypatch):
     c_margins = 2.0 - (((2.0 / np.pi) * angles) @ patterns).max(axis=-1)
     facet_margins = 2.0 - (points @ patterns).max(axis=-1)
     vertex_values = np.abs(points @ checks._VERTEX_BASIS.T / 4.0).sum(axis=-1)
-    assert (np.abs(q_margins) <= cli._MU_BAND).sum() > 100
+    assert (np.abs(q_margins) <= checks._MU_BAND).sum() > 100
     assert (facet_margins == 0.0).sum() >= 3 and (facet_margins == -0.25).any()
     seen = {}
 
@@ -918,19 +957,19 @@ def test_shared_check_passes_match_the_unshared_ones(monkeypatch):
     recording(membership, "_arcsine_margins")
     recording(membership, "classical_margins")
     recording(checks, "_oracle_verdicts")
-    # each check's block function, applied once to all the points
-    monkeypatch.setattr(cli, "_blocked_count", lambda rows, seed, count: count(points))
+    # each check draws all the points as one block
+    monkeypatch.setattr(checks, "_draws", lambda samples, seed: [points])
     # at tolerance 0.25 a facet margin and a vertex value sit on their bounds
     for tolerance in (1e-9, 1e-7, 1e-3, 0.25, 0.3):
         seen.clear()
-        mu = cli._mu_equivalence_check(len(points), 0, tolerance)
-        oracle = cli._oracle_agreement_check(len(points), 0, tolerance)
+        mu = checks._mu_equivalence_check(len(points), 0, tolerance)
+        oracle = checks._oracle_agreement_check(len(points), 0, tolerance)
         assert _bits(seen["_arcsine_margins"]) == _bits(q_margins)
         assert _bits(seen["classical_margins"]) == _bits(c_margins)
         band = (q_margins < -tolerance) & (q_margins >= -tolerance - 1e-7)
         verdict_q = (q_margins >= -tolerance) | (band & (shifted >= -tolerance))
         verdict_c = c_margins >= -tolerance
-        off_band = np.abs(q_margins) > cli._MU_BAND
+        off_band = np.abs(q_margins) > checks._MU_BAND
         expected = int((verdict_q != verdict_c)[off_band].sum())
         assert mu["disagreements_outside_band"] == expected
         vertex, facet = seen["_oracle_verdicts"]
@@ -959,7 +998,7 @@ def _traced_peak(check, samples):
 
 
 @pytest.mark.parametrize(
-    "check", [cli._mu_equivalence_check, cli._oracle_agreement_check]
+    "check", [checks._mu_equivalence_check, checks._oracle_agreement_check]
 )
 def test_sampled_check_memory_does_not_grow_with_samples(check):
     # numpy reports its buffers to tracemalloc

@@ -397,6 +397,55 @@ def test_decompose_loose_tolerance_only_admits():
     assert len(d.terms) == 1
 
 
+def _check_admitted_outside_q(points, tolerance):
+    """Every point membership admits at `tolerance` decomposes into a point
+    of Q within `tolerance` of it; returns how many admitted points lie
+    outside Q by more than 1e-9, which the boundary exit cannot take."""
+    outside = 0
+    for values in points.tolist():
+        x = CorrelationVector(*values)
+        report = evaluate(x, tolerance)
+        if not report.in_quantum:
+            continue
+        outside += report.quantum_margin < -1e-9
+        point = decompose(x, tolerance).reconstruct()
+        assert np.abs(np.array(point.as_tuple()) - values).max() <= tolerance
+        assert evaluate(point).in_quantum
+    return outside
+
+
+@pytest.mark.parametrize("tolerance", [1e-8, 1e-6, 1e-4])
+def test_decompose_admitted_points_past_the_curved_boundary(tolerance):
+    # points of the curved boundary scaled outward by up to 1 + tolerance:
+    # each admitted one is decomposed as the point where its ray leaves Q.
+    # At the boundary exit most missed x by their margin and exited 3
+    rng = np.random.default_rng(31)
+    phis = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size=(15000, 3))
+    phis = np.column_stack([phis, phis.sum(axis=1) - math.pi])
+    boundary = np.sin(phis[np.abs(phis[:, 3]) <= 0.5 * math.pi])
+    points = boundary * rng.uniform(1.0, 1.0 + tolerance, size=(len(boundary), 1))
+    points = points[np.abs(points).max(axis=1) <= 1.0]
+    # about one point in six lies on the boundary, one in eight is admitted
+    assert _check_admitted_outside_q(points, tolerance) > 200
+
+
+@pytest.mark.parametrize("tolerance", [1e-8, 1e-6, 1e-4])
+def test_decompose_admitted_face_points_past_the_segment(tolerance):
+    # x1 = +-1 and x4 up to `tolerance` beyond an end of `face_segment`;
+    # x1 = -1 is the image of x1 = 1 under the flip of (x1, x2)
+    rng = np.random.default_rng(37)
+    rows = []
+    for _ in range(1000):
+        x2, x3 = rng.uniform(-1.0, 1.0, size=2)
+        low, high = face_segment(x2, x3)
+        past = tolerance * rng.random()
+        x4 = high + past if rng.random() < 0.5 else low - past
+        x1 = rng.choice((1.0, -1.0))
+        if abs(x4) <= 1.0:
+            rows.append((x1, x1 * x2, x3, x4))
+    assert _check_admitted_outside_q(np.array(rows), tolerance) > 500
+
+
 def test_decompose_member_whose_face_point_lies_just_outside_q():
     # the ray meets the face at (1, 1, 1e-9, 0), whose arcsine sum is
     # pi + 1e-9; the face split clamps its weight there, and it left a
@@ -609,13 +658,17 @@ def test_face_slices_demo(capsys):
     ],
 )
 def test_reconstruction_error_names_the_exit(monkeypatch, x, route):
-    # a negative bound fails every reconstruction check.  The boundary exit
-    # is taken when the arcsine sum reaches pi minus the same bound, so the
-    # bound is the smallest negative float, which leaves pi minus it at pi;
-    # -1.0 would send the boundary input down the curved exit instead
-    monkeypatch.setattr(geometry, "_RECONSTRUCTION_TOLERANCE", -5e-324)
+    # a reconstruction moved by 1e-8 fails every check, and leaves the
+    # exit each input takes as it is
+    reconstruct = Decomposition.reconstruct
+
+    def moved(self):
+        v = reconstruct(self).as_tuple()
+        return CorrelationVector(v[0] + 1e-8, *v[1:])
+
+    monkeypatch.setattr(Decomposition, "reconstruct", moved)
     message = (
-        r"^decomposition residual \S+ exceeds -4.94066e-324 for input "
+        r"^decomposition residual \S+ exceeds 1e-09 for input "
         rf"\(.*\) at the {route} exit$"
     )
     with pytest.raises(InternalCheckError, match=message):
