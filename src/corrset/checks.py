@@ -109,9 +109,6 @@ _BUCKET_ROWS = 64
 _MAX_TABLE_BYTES = 2**32  # 4 GiB
 # At least every value np.arcsin returns: fl(pi/2), which it gives at 1.0
 _ARCSIN_CAP = 0.5 * math.pi
-# Rows per draw of the sampled checks; a block's largest temporary, the
-# (rows, 8) sign-pattern sums, is 0.5 MB
-_DRAW_BLOCK = 8192
 # The mu check leaves out points whose Q margin is within this of zero
 _MU_BAND = 1e-7
 
@@ -495,7 +492,7 @@ def ghz_contradiction(relaxed: bool = False) -> bool:
 
 def _draws(samples: int, seed: int):
     """`samples` uniform draws from the box by `default_rng(seed)`, in
-    blocks of `_DRAW_BLOCK` rows.
+    blocks of `membership._PASS_ROWS` rows.
 
     Consecutive `uniform` calls on one generator give the same floats as one
     call for all rows, and each sampled check acts on every row alone, so a
@@ -503,8 +500,8 @@ def _draws(samples: int, seed: int):
     temporaries stay the size of one block.
     """
     rng = np.random.default_rng(seed)
-    for start in range(0, samples, _DRAW_BLOCK):
-        rows = min(_DRAW_BLOCK, samples - start)
+    for start in range(0, samples, membership._PASS_ROWS):
+        rows = min(membership._PASS_ROWS, samples - start)
         yield rng.uniform(-1.0, 1.0, size=(rows, 4))
 
 

@@ -24,11 +24,11 @@ Exit codes: 0 on success (for `membership`: vector in the quantum set),
 1 when the vector is outside the quantum set or a verification check
 failed, 2 on input errors, 3 when a self-check of the library failed (an
 `internal error:` line on stderr carries the numbers that show it).
-`CORRSET_TOLERANCE` overrides the default tolerance; `--tolerance`
-overrides both.  All commands are deterministic given identical flags
-and seed, JSON key order is fixed, every number is computed before the
-first byte is written, and `--output` is replaced atomically (no partial
-files on error paths).
+`--tolerance` is 1e-9 unless given, and the parser refuses a value that
+is not finite and positive.  No command reads the environment: all are
+deterministic given identical flags and seed, JSON key order is fixed,
+every number is computed before the first byte is written, and
+`--output` is replaced atomically (no partial files on error paths).
 """
 
 from __future__ import annotations
@@ -55,12 +55,8 @@ from .errors import (
     NotInQuantumSetError,
 )
 
-_ENV_TOLERANCE = "CORRSET_TOLERANCE"
 _REALIZE_RESIDUAL_BOUND = 1e-8
 _SLICE_RELATION_TOLERANCE = 1e-9
-# most rows per block of `sample`'s verdicts and text; a block's largest
-# temporary, the (rows, 8) sign-pattern sums, is 0.5 MB
-_CHECK_BLOCK = 8192
 # the CSV columns of a membership report's verdicts and margins
 _VERDICT_COLUMNS = ("in_C", "in_Q", "margin_C", "margin_Q")
 
@@ -112,26 +108,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def _resolve_tolerance(args: argparse.Namespace) -> float:
-    if args.tolerance is not None:
-        value = args.tolerance
-    else:
-        raw = os.environ.get(_ENV_TOLERANCE)
-        if raw is None:
-            return DEFAULT_TOLERANCE
-        try:
-            value = float(raw)
-        except ValueError:
-            raise DomainError(
-                f"{_ENV_TOLERANCE}={raw!r} is not a number"
-            ) from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"tolerance must be positive, got {value!r}")
-    return value
-
-
-def _read_vector(args: argparse.Namespace, tolerance: float) -> CorrelationVector:
-    inline = args.vector or []
+def _read_vector(args: argparse.Namespace) -> CorrelationVector:
+    tolerance, inline = args.tolerance, args.vector or []
     if args.input is not None:
         if inline:
             raise DomainError("give the vector inline or via --input, not both")
@@ -152,9 +130,8 @@ def _read_vector(args: argparse.Namespace, tolerance: float) -> CorrelationVecto
 
 
 def cmd_membership(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
-    x = _read_vector(args, tolerance)
-    report = membership.evaluate(x, tolerance)
+    x = _read_vector(args)
+    report = membership.evaluate(x, args.tolerance)
     fields = report.to_json_dict()
     if args.format == "json":
         _emit(args, _json_dump(fields))
@@ -167,9 +144,8 @@ def cmd_membership(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
-    x = _read_vector(args, tolerance)
-    decomposition = geometry.decompose(x, tolerance)
+    x = _read_vector(args)
+    decomposition = geometry.decompose(x, args.tolerance)
     pairs = zip(decomposition.reconstruct().as_tuple(), x.as_tuple())
     residual = [r - v for r, v in pairs]
     if args.format == "json":
@@ -183,9 +159,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
-    x = _read_vector(args, tolerance)
-    decomposition = geometry.decompose(x, tolerance)
+    x = _read_vector(args)
+    decomposition = geometry.decompose(x, args.tolerance)
     realization = quantum.realize_mixture(decomposition)
     reproduced = quantum.expectation(realization).as_tuple()
     # checked against the vector realized, reported against x
@@ -204,7 +179,6 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
     text = Path(args.realization).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -212,7 +186,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError(f"realization file is not valid JSON: {exc}") from exc
     realization = quantum.Realization.from_json_dict(data)
     vector = quantum.expectation(realization)
-    fields = membership.evaluate(vector, tolerance).to_json_dict()
+    fields = membership.evaluate(vector, args.tolerance).to_json_dict()
     if args.format == "json":
         _emit(args, _json_dump({"vector": list(vector.as_tuple()), "report": fields}))
     else:
@@ -235,6 +209,16 @@ def _parse_dims(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value!r}")
+    return value
+
+
 def _json_rows(blocks: list[np.ndarray]):
     """The text after `"vectors": [` in `_json_dump({..., "vectors": rows})`,
     one piece per block of the rows.  The C encoder writes a block on one
@@ -251,23 +235,24 @@ def _json_rows(blocks: list[np.ndarray]):
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.parallel < 1:
         raise DomainError(f"--parallel must be at least 1, got {args.parallel}")
-    tolerance = _resolve_tolerance(args)
     if args.count < 1:
         raise DomainError(f"sample count must be at least 1, got {args.count}")
     dim_a, dim_b = args.dims
     vectors = quantum.sample_correlations(
         args.count, dim_a, dim_b, seed=args.seed, workers=args.parallel
     )
-    # blocks of at most _CHECK_BLOCK rows; a row's sums are the same floats
-    # in a block of any size
-    blocks = np.array_split(vectors, -(-args.count // _CHECK_BLOCK))
-    verdicts = (membership.quantum_verdicts(block, tolerance)[1] for block in blocks)
+    # blocks of at most membership._PASS_ROWS rows; a row's sums are the
+    # same floats in a block of any size
+    blocks = np.array_split(vectors, -(-args.count // membership._PASS_ROWS))
+    verdicts = (
+        membership.quantum_verdicts(block, args.tolerance)[1] for block in blocks
+    )
     maxima = [membership._largest_combination(block).max() for block in blocks]
     summary = {
         "count": int(args.count),
         "dims": [dim_a, dim_b],
         "seed": int(args.seed),
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
         "failures": sum(int(np.count_nonzero(~inside)) for inside in verdicts),
         "max_chsh": float(np.max(maxima)),
     }
@@ -284,7 +269,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_check_lemmas(args: argparse.Namespace) -> int:
     results = checks.lemma_checks(
         args.hessian_step, args.hessian_margin, args.anglesum_step,
-        args.samples, args.seed, _resolve_tolerance(args),
+        args.samples, args.seed, args.tolerance,
     )
     all_passed = all(r["passed"] for r in results)
     _emit(args, _json_dump({"all_passed": all_passed, "checks": results}))
@@ -335,8 +320,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
 
 
 def cmd_mu(args: argparse.Namespace) -> int:
-    tolerance = _resolve_tolerance(args)
-    x = _read_vector(args, tolerance)
+    x = _read_vector(args)
     result = membership.mu_inverse(x) if args.inverse else membership.mu(x)
     if args.format == "json":
         _emit(args, result.to_json())
@@ -355,7 +339,9 @@ _SHARED_OPTIONS = {
         metavar="FILE", help="read the vector from a JSON file (array of 4 numbers)"
     ),
     "--tolerance": dict(
-        type=float, help=f"numeric tolerance (default {_ENV_TOLERANCE} or 1e-9)"
+        type=_parse_tolerance,
+        default=DEFAULT_TOLERANCE,
+        help=f"numeric tolerance (default {DEFAULT_TOLERANCE:g})",
     ),
     "--seed": dict(type=int, default=0, help="PRNG seed"),
     "--output": dict(metavar="FILE", help="write output to FILE"),

@@ -183,6 +183,12 @@ class MembershipReport:
         }
 
 
+# Most rows per array membership pass over a long run (`sample`'s summary,
+# the sampled checks); a pass's largest temporary, the (rows, 8) pattern
+# sums, is then 0.5 MB
+_PASS_ROWS = 8192
+
+
 def _pattern_sums(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     """The eight combinations of `_PATTERNS`, bitwise the direct sums.
 

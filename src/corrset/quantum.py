@@ -26,9 +26,10 @@ numpy's PCG64 generator with explicit per-index stream splitting: sample
 
 consuming, in order, the joint state vector (all real parts, then all
 imaginary parts) followed by, for each of A0, A1, B0, B1: a complex square
-matrix (reals, then imaginaries) fed to QR for a Haar unitary, then one
-integer draw per dimension for the +-1 eigenvalue pattern,
-`integers(0, 2, size=d)`.
+matrix (reals, then imaginaries) fed to QR, then one integer draw per
+dimension for the +-1 eigenvalue pattern p, `integers(0, 2, size=d)`.  The
+observable is Q diag(p) Q^dagger, Q the QR unitary: the Haar unitary QD, D
+the diagonal phase fix, gives the same matrix, as D commutes with diag(p).
 
 The draws reproduce those calls bit for bit without building a generator
 per index.  SeedSequence's hash (mix_entropy, then generate_state(4,
@@ -46,9 +47,11 @@ d leaves the high half of a word unused; the next pattern begins with it,
 as PCG64 keeps it across the normal draws between.  After the draws, the
 algebra runs once per block, the indices whose normals fit in
 `_SAMPLE_BLOCK_BYTES`, which bounds a block's memory at any dims.  Each
-step acts on every index alone through the same per-matrix BLAS and
+step acts on every index alone, by row reductions and per-matrix BLAS and
 LAPACK calls, so a row depends neither on its block, chunk or worker count
-nor on sampling order; `sample_quantum` is the block of one.
+nor on sampling order; `sample_quantum` is the block of one.  The draws
+and that independence are fixed across versions; the floats of the rows,
+which the algebra rounds, are pinned per version.
 """
 
 from __future__ import annotations
@@ -317,15 +320,10 @@ def _check_dims(dim_a: int, dim_b: int) -> None:
 
 
 def _haar_observables(raw: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """U diag(1 - 2 bits) U^dagger per index, U the phase-fixed QR unitary
-    of the complex Gaussian matrix raw[:, 0] + i raw[:, 1]."""
-    q, r = np.linalg.qr(raw[:, 0] + 1j * raw[:, 1])
-    diagonal = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
-    # fix the QR phase ambiguity so the unitary is Haar distributed
-    unitary = q * (diagonal / np.abs(diagonal))
-    signed = unitary * (1.0 - 2.0 * bits[:, None, :])
-    observable = signed @ unitary.conj().swapaxes(1, 2)
-    return 0.5 * (observable + observable.conj().swapaxes(1, 2))
+    """Q diag(1 - 2 bits) Q^dagger per index, Q the QR unitary of the
+    complex Gaussian matrix raw[:, 0] + i raw[:, 1], whose phase it drops."""
+    q = np.linalg.qr(raw[:, 0] + 1j * raw[:, 1])[0]
+    return (q * (1.0 - 2.0 * bits[:, None, :])) @ q.conj().swapaxes(1, 2)
 
 
 # numpy's SeedSequence hash, after O'Neill's seed_seq_fe: hashing step k
@@ -442,15 +440,13 @@ def _sample_draws(
 def _sample_block(
     dim_a: int, dim_b: int, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """States (n, dim_a * dim_b), observables (A0, A1, B0, B1), each
+    """Unit states (n, dim_a * dim_b), observables (A0, A1, B0, B1), each
     (n, d, d), and correlation rows (n, 4) of indices start..stop-1."""
     n, joint = stop - start, dim_a * dim_b
     state, raws, bits = _sample_draws(dim_a, dim_b, seed, start, stop)
     # each step below acts on every index alone, so rows do not depend on n
     psi = state[:, 0] + 1j * state[:, 1]
-    re, im = psi.real[:, None], psi.imag[:, None]
-    # the strided dot products np.linalg.norm forms for one complex vector
-    psi /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     a0, a1, b0, b1 = observables = tuple(map(_haar_observables, raws, bits))
     b_t = np.stack((b0, b1), axis=1).swapaxes(2, 3)[:, None]
     # vdot(M, A_a M B_b^T) for (a, b) = (0, 0), (0, 1), (1, 0), (1, 1)

@@ -86,28 +86,33 @@ def test_membership_from_file(capsys, tmp_path):
     assert json.loads(out)["in_C"] is True
 
 
-def test_tolerance_env_clamps(capsys, monkeypatch):
-    monkeypatch.setenv("CORRSET_TOLERANCE", "1e-3")
-    code, out, _ = run(capsys, "membership", "1.0000001", "0", "0", "0")
-    assert code == 0
-    # explicit flag beats the environment
+def test_tolerance_flag_clamps(capsys):
+    # the default refuses a component 1e-7 past the box; --tolerance 1e-3
+    # admits it
+    code, _, _ = run(capsys, "membership", "1.0000001", "0", "0", "0")
+    assert code == 2
     code, _, _ = run(
-        capsys, "membership", "--tolerance", "1e-9", "1.0000001", "0", "0", "0"
+        capsys, "membership", "--tolerance", "1e-3", "1.0000001", "0", "0", "0"
     )
-    assert code == 2
-
-
-def test_tolerance_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CORRSET_TOLERANCE", "soon")
-    code, _, err = run(capsys, "membership", "0", "0", "0", "0")
-    assert code == 2
-    assert "CORRSET_TOLERANCE" in err
+    assert code == 0
 
 
 def test_tolerance_must_be_positive(capsys):
-    code, _, err = run(capsys, "membership", "--tolerance", "-1", "0", "0", "0", "0")
-    assert code == 2
-    assert "positive" in err
+    for value in ("-1", "0", "1e-400", "nan", "inf"):
+        argv = ("membership", "--tolerance", value, "0", "0", "0", "0")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "tolerance must be positive, got " in err
+
+
+def test_output_ignores_the_environment(capsys, monkeypatch):
+    # the vector lies about 5e-7 outside Q, which a tolerance of 1e-3 would
+    # admit, and sample's summary states its tolerance
+    commands = (["membership", *["0.7071068"] * 3, "-0.7071068"], ["sample", "5"])
+    plain = [run(capsys, *argv) for argv in commands]
+    assert plain[0][0] == 1
+    monkeypatch.setenv("CORRSET_TOLERANCE", "1e-3")
+    assert [run(capsys, *argv) for argv in commands] == plain
 
 
 def test_decompose_json(capsys):
@@ -451,26 +456,27 @@ def test_sample_reproducible(capsys):
 @pytest.mark.parametrize(
     "count, dims, seed, digest",
     [
-        ("300", "2,3", "5", "d2ddd419974f0ce26c5152692426ea04"),
-        ("100", "8,8", "3", "3a7c2116bfd5ec5f4eec2c62ad669c5e"),
-        ("2500", "2,2", "11", "aa22542ca9e78328d060764f2aa6549d"),
-        ("700", "5,7", "2", "0d5954a1196bc7166360fca8cd3c87d6"),
+        ("300", "2,3", "5", "743e22fe0d9e2250dfe700cd709919b5"),
+        ("100", "8,8", "3", "851438fd0b704e2750b9a03f5a350249"),
+        ("2500", "2,2", "11", "243452ca093d2f99ee90f7ebc6115087"),
+        ("700", "5,7", "2", "73dc7fee23e4f9d105d33652248939e2"),
     ],
 )
 def test_sample_output_pinned(capsys, count, dims, seed, digest):
     code, out, _ = run(capsys, "sample", count, "--dims", dims, "--seed", seed)
     assert code == 0
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+    assert json.loads(out)["summary"]["failures"] == 0
 
 
 # md5 of the JSON text from the "vectors" key on: the rows without the summary
 @pytest.mark.parametrize(
     "count, dims, seed, digest",
     [
-        ("300", "2,3", "5", "36c0ae858fcf8970e3553165827e9fa2"),
-        ("100", "8,8", "3", "c457f4c0e8ffcf954d12d41f66a2ed5b"),
-        ("2500", "2,2", "11", "9eee175b03f369cba2bbfeebb313349b"),
-        ("700", "5,7", "2", "678b9a8f033ab5133a07915ea0ecfa60"),
+        ("300", "2,3", "5", "445577073ea0aba9f718d5bde963f1bc"),
+        ("100", "8,8", "3", "0a6cfa6b251e0d445bb6ce6f7a08715a"),
+        ("2500", "2,2", "11", "10dea715cf2270b813e35b0d434ba84c"),
+        ("700", "5,7", "2", "8fe83dd57f55420a32c5c11f99e475ba"),
     ],
 )
 def test_sample_rows_pinned(capsys, count, dims, seed, digest):
@@ -478,16 +484,19 @@ def test_sample_rows_pinned(capsys, count, dims, seed, digest):
     assert code == 0
     rows = out[out.index('"vectors"'):]
     assert hashlib.md5(rows.encode("utf-8")).hexdigest() == digest
+    assert json.loads(out)["summary"]["failures"] == 0
 
 
 def test_sample_counts_no_rounded_vertex_as_a_failure(capsys):
-    # row 26 is (1, -1, -0.9999999999999999, 0.9999999999999996), a
-    # deterministic vertex whose rounding reads margin_Q -1.49e-8
+    # row 26 is (1, -1, -0.9999999999999998, 0.9999999999999996), a
+    # deterministic vertex whose rounding reads margin_Q -8.73e-9, which
+    # only the one-ulp ray shift admits
     code, out, _ = run(capsys, "sample", "100", "--dims", "2,2", "--seed", "958438296")
     assert code == 0
     data = json.loads(out)
     assert data["summary"]["failures"] == 0
-    assert data["vectors"][26] == [1.0, -1.0, -0.9999999999999999, 0.9999999999999996]
+    assert data["vectors"][26] == [1.0, -1.0, -0.9999999999999998, 0.9999999999999996]
+    assert membership.quantum_margins(np.array(data["vectors"][26])) < -1e-9
     code, out, err = run(capsys, "decompose", *map(repr, data["vectors"][26]))
     assert (code, err) == (0, "")
     assert max(map(abs, json.loads(out)["residual"])) <= 1e-9
@@ -502,16 +511,17 @@ def _failures(rows, tolerance=1e-9):
 @pytest.mark.parametrize(
     "count, dims, seed, digest",
     [
-        ("300", "2,3", "5", "2bb9e674e3dff1f1339bdb1aed826e26"),
-        ("2500", "2,2", "11", "1abd2d2d80cab796e4148dd0babae1a9"),
+        ("300", "2,3", "5", "3e80b97ff765dd715859e44738caccd5"),
+        ("2500", "2,2", "11", "60b7ca2557f80ac19ad97917e2b9ef1f"),
     ],
 )
 def test_sample_csv_output_pinned(capsys, count, dims, seed, digest):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "sample", count, "--dims", dims, "--seed", seed, "--format", "csv"
     )
     assert code == 0
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+    assert " failures=0 " in err
 
 
 def _special_rows(count):
@@ -527,7 +537,7 @@ def _special_rows(count):
 
 @pytest.mark.parametrize(
     "count",
-    [1, cli._CHECK_BLOCK - 1, cli._CHECK_BLOCK, cli._CHECK_BLOCK + 1],
+    [1, membership._PASS_ROWS - 1, membership._PASS_ROWS, membership._PASS_ROWS + 1],
 )
 @pytest.mark.filterwarnings("ignore:invalid value encountered in arcsin")
 def test_sample_writer_matches_one_piece_encoders(capsys, monkeypatch, count):
@@ -556,10 +566,10 @@ def test_sample_writer_matches_one_piece_encoders(capsys, monkeypatch, count):
 
 
 def test_sample_blocked_summary_matches_the_whole_array(capsys, monkeypatch):
-    # the 2,500 rows of seed 11 at 2x2, 48 of them rounded box vertices,
-    # with every seventh row swapped for a uniform draw from the box, many
-    # of which lie outside Q; the summary in blocks of at most 97 rows is
-    # the summary of the whole array
+    # the 2,500 rows of seed 11 at 2x2, 50 of them rounded box vertices
+    # whose margin_Q reads below -1e-9, with every seventh row swapped for a
+    # uniform draw from the box, many of which lie outside Q; the summary
+    # in blocks of at most 97 rows is the summary of the whole array
     rows = quantum.sample_correlations(2500, 2, 2, seed=11)
     rows[::7] = np.random.default_rng(11).uniform(-1.0, 1.0, size=rows[::7].shape)
     monkeypatch.setattr(
@@ -567,7 +577,7 @@ def test_sample_blocked_summary_matches_the_whole_array(capsys, monkeypatch):
     )
     code, whole_out, _ = run(capsys, "sample", "2500", "--seed", "11")
     assert code == 0
-    monkeypatch.setattr(cli, "_CHECK_BLOCK", 97)
+    monkeypatch.setattr(membership, "_PASS_ROWS", 97)
     code, out, _ = run(capsys, "sample", "2500", "--seed", "11")
     assert (code, out) == (0, whole_out)
     summary = json.loads(out)["summary"]
@@ -782,7 +792,13 @@ def _one_draw_oracle_check(samples, seed, tolerance):
 @pytest.mark.parametrize("tolerance", [1e-9, 0.3])
 @pytest.mark.parametrize(
     "samples",
-    [1, checks._DRAW_BLOCK - 1, checks._DRAW_BLOCK, checks._DRAW_BLOCK + 1, 20_000],
+    [
+        1,
+        membership._PASS_ROWS - 1,
+        membership._PASS_ROWS,
+        membership._PASS_ROWS + 1,
+        20_000,
+    ],
 )
 def test_blocked_checks_match_one_draw(samples, tolerance):
     for seed in (0, 3):
@@ -814,7 +830,7 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
     # once and reads them for both margins, the oracle check forms both
     # verdicts in one call; their blocks, in call order, are the one-draw
     # points of each check's seed, and the unshared paths are not taken
-    samples = 2 * checks._DRAW_BLOCK + 5
+    samples = 2 * membership._PASS_ROWS + 5
     drawn = np.random.default_rng(4).uniform(-1.0, 1.0, size=(samples, 4))
     arcsines, mu = np.arcsin(drawn), membership.mu_array(drawn)
     oracle_drawn = np.random.default_rng(5).uniform(-1.0, 1.0, size=(samples, 4))
@@ -824,7 +840,7 @@ def test_sampled_checks_see_every_row_once(capsys, monkeypatch):
         func = getattr(owner, name)
 
         def wrapper(points, *args):
-            assert len(points) <= checks._DRAW_BLOCK
+            assert len(points) <= membership._PASS_ROWS
             # a copy, as the mu check turns its arcsines into mu in place
             seen.setdefault(name, []).append(np.array(points))
             return func(points, *args)
@@ -859,7 +875,7 @@ def _bits(values):
 def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
     # --samples one past a block leaves a last block of one row; each check's
     # values there are the bits its row has in one call over all the draws
-    samples = checks._DRAW_BLOCK + 1
+    samples = membership._PASS_ROWS + 1
     angles = np.arcsin(np.random.default_rng(6).uniform(-1.0, 1.0, size=(samples, 4)))
     oracle_drawn = np.random.default_rng(7).uniform(-1.0, 1.0, size=(samples, 4))
     q_margins = membership._arcsine_margins(angles)
@@ -885,7 +901,7 @@ def test_one_row_last_block_counts_as_in_one_draw(capsys, monkeypatch):
     )
     assert code == 0
     assert {name: [n for n, _ in calls] for name, calls in seen.items()} == {
-        name: [checks._DRAW_BLOCK, 1] for name in seen
+        name: [membership._PASS_ROWS, 1] for name in seen
     }
 
     def joined(name, part=slice(None)):

@@ -45,3 +45,13 @@ def test_every_exported_name_is_used():
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     unused = [name for name in corrset.__all__ if name not in used]
     assert not unused, unused
+
+
+def test_package_reads_no_environment_variable():
+    # a command's output depends on its flags and seed alone
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = {
+        path.name: sorted(_names_read(path) & reads)
+        for path in (ROOT / "src" / "corrset").glob("*.py")
+    }
+    assert {name: names for name, names in found.items() if names} == {}

@@ -805,7 +805,7 @@ def test_sample_draws_are_numpys_calls_bit_for_bit(dims):
             _assert_draws_match(dims, seed, start, stop)
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (5, 3), (8, 8)])
+@pytest.mark.parametrize("dims", list(itertools.product(range(2, 9), repeat=2)))
 def test_sample_stream_layout(dims):
     for seed, index in ((4, 0), (4, 33), (-3, 5), (2**64 + 4, 33)):
         _assert_draws_match(dims, seed, index, index + 1)
@@ -870,8 +870,9 @@ def test_dimension_limits():
 
 
 def test_observable_laws_on_samples():
-    _, r = sample_quantum(dim_a=3, dim_b=2, seed=13, index=2)
-    for obs in (r.a0, r.a1, r.b0, r.b1):
-        dim = obs.shape[0]
-        assert np.abs(obs - obs.conj().T).max() <= 1e-12
-        assert np.abs(obs @ obs - np.eye(dim)).max() <= 1e-12
+    for dims in ((3, 2), (2, 2), (3, 5), (8, 8)):
+        _, r = sample_quantum(*dims, seed=13, index=2)
+        for obs in (r.a0, r.a1, r.b0, r.b1):
+            dim = obs.shape[0]
+            assert np.abs(obs - obs.conj().T).max() <= 1e-12
+            assert np.abs(obs @ obs - np.eye(dim)).max() <= 1e-12
