@@ -153,10 +153,8 @@ class SymmetryOp:
 
     def source_indices(self) -> tuple[int, int, int, int]:
         """Inverse permutation: source index feeding each target position."""
-        q = [0, 0, 0, 0]
-        for src, dst in enumerate(self.perm):
-            q[dst] = src
-        return tuple(q)
+        p = self.perm
+        return (p.index(0), p.index(1), p.index(2), p.index(3))
 
     def apply(self, x: CorrelationVector) -> CorrelationVector:
         """Transform a vector.  Exact: only permutes and flips signs."""
@@ -177,9 +175,9 @@ class SymmetryOp:
         return _group_element(perm, signs)
 
     def inverse(self) -> "SymmetryOp":
-        q = self.source_indices()
-        signs = tuple(self.signs[self.perm[i]] for i in range(4))
-        return _group_element(q, signs)
+        p, s = self.perm, self.signs
+        signs = (s[p[0]], s[p[1]], s[p[2]], s[p[3]])
+        return _group_element(self.source_indices(), signs)
 
     def matrix(self) -> np.ndarray:
         """The op as a 4x4 signed permutation matrix M with apply = M @ x."""
@@ -209,15 +207,14 @@ class CanonicalForm:
     def op(self) -> SymmetryOp:
         """The group element of the sort-and-flip rule in `canonicalize`."""
         comps = self.source.as_tuple()
-        order = sorted(range(4), key=lambda j: (-abs(comps[j]), j))
-        perm = [0, 0, 0, 0]
-        for target, j in enumerate(order):
-            perm[j] = target
+        # a stable sort over range(4) breaks ties by index
+        order = sorted(range(4), key=[-abs(v) for v in comps].__getitem__)
+        perm = (order.index(0), order.index(1), order.index(2), order.index(3))
         signs = [-1 if comps[j] < 0.0 else 1 for j in order]
         if signs[0] * signs[1] * signs[2] * signs[3] == -1:
             # zeros sort last, so a zero absorbing the flip is at position 4
             signs[3] = -signs[3]
-        return _group_element(tuple(perm), tuple(signs))
+        return _group_element(perm, tuple(signs))
 
 
 def _unchecked(cls, fields):

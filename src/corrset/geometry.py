@@ -232,9 +232,9 @@ def angle_transport(op: SymmetryOp, g: GeneratorPoint) -> GeneratorPoint:
     up to floating point roundoff.
     """
     nus = (g.phi1, g.phi2, g.phi3, reduce_angle(-(g.phi1 + g.phi2 + g.phi3)))
-    q = op.source_indices()
+    q, shifts = op.source_indices(), [math.pi if s < 0 else 0.0 for s in op.signs]
     return _generator(
-        *(nus[q[i]] + (math.pi if op.signs[i] < 0 else 0.0) for i in range(3))
+        nus[q[0]] + shifts[0], nus[q[1]] + shifts[1], nus[q[2]] + shifts[2]
     )
 
 

@@ -16,12 +16,13 @@ report), from four sums per system: rows 4-7 of the patterns are rows 0-3
 negated, taken as `0.0 - v` so that an exact zero stays +0.0 as the direct
 sum gives it.  It cross-checks the maximum against the canonical fast path.
 
-Scalars and arrays share one summation order, `_pattern_sums`: each of
-rows 0-3 summed left to right, as numpy's matrix product sums a block of
-rows.  So a row's values are the same floats alone, of shape (4,) or
-(1, 4), as inside a longer array; a matrix product would send a lone row
-to a vector kernel that rounds its sums differently.  The largest of the
-eight values is the largest magnitude of rows 0-3.
+Scalars and arrays share one summation order, `_four_sums`: each of rows
+0-3 summed left to right, as numpy's matrix product sums a block of rows.
+So a row's values are the same floats alone, of shape (4,) or (1, 4), as
+inside a longer array; a matrix product would send a lone row to a vector
+kernel that rounds its sums differently.  The largest of the eight values
+is the largest magnitude of rows 0-3, so the array maxima form no
+negations; `_pattern_sums` adds rows 4-7 where all eight are reported.
 
 Q's verdict is made in one place, `quantum_verdict` for a vector and
 `quantum_verdicts` for an array.  margin_Q is the paper's arcsine margin
@@ -102,7 +103,7 @@ def _largest_combination(xs: np.ndarray) -> np.ndarray:
     """The largest of the eight pattern sums of each row of `xs`: the
     largest magnitude of rows 0-3, which rows 4-7 negate."""
     columns = np.moveaxis(np.asarray(xs, dtype=float), -1, 0)
-    return functools.reduce(np.maximum, map(np.abs, _pattern_sums(*columns)[:4]))
+    return functools.reduce(np.maximum, map(np.abs, _four_sums(*columns)))
 
 
 def _row_max(values: np.ndarray) -> np.ndarray:
@@ -189,6 +190,11 @@ class MembershipReport:
 _PASS_ROWS = 8192
 
 
+def _four_sums(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
+    """Rows 0-3 of `_PATTERNS`, each summed left to right."""
+    return (b - a + c + d, a - b + c + d, a + b - c + d, a + b + c - d)
+
+
 def _pattern_sums(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     """The eight combinations of `_PATTERNS`, bitwise the direct sums.
 
@@ -196,10 +202,7 @@ def _pattern_sums(a: float, b: float, c: float, d: float) -> tuple[float, ...]:
     with the direct sum except at an exact zero: that sums to +0.0, which
     `0.0 - v` keeps and `-v` would turn into -0.0.
     """
-    s0 = b - a + c + d
-    s1 = a - b + c + d
-    s2 = a + b - c + d
-    s3 = a + b + c - d
+    s0, s1, s2, s3 = _four_sums(a, b, c, d)
     return (s0, s1, s2, s3, 0.0 - s0, 0.0 - s1, 0.0 - s2, 0.0 - s3)
 
 

@@ -114,11 +114,13 @@ class Realization:
         first, then the state's shape.  The observables form one (4, d, d)
         stack when both parties share d, as in every realization
         `realize_mixture` builds, else one stack per party, and one pass
-        takes each one's largest |O - O^dagger| and |O^2 - I|.  A NaN or inf
-        fails one of those bounds, so only a failing stack is tested for
-        finiteness; the same arrays name the first failing observable (A0,
-        A1, B0, B1) and its first failed check (finite, Hermitian,
-        involution).  Then the state: finite, unit trace, Hermitian, PSD.
+        takes the stack's largest |O - O^dagger| and |O^2 - I|.  A NaN or
+        inf fails one of those bounds, so only a failing stack is tested for
+        finiteness and reduced per observable, to name the first failing
+        one (A0, A1, B0, B1) and its first failed check (finite, Hermitian,
+        involution).  The state's |tr - 1| and largest |rho - rho^dagger|
+        work alike: only when one fails is the state tested for being
+        finite, then of unit trace, then Hermitian.  PSD comes last.
         """
         names = ("A0", "A1", "B0", "B1")
         observables = (self.a0, self.a1, self.b0, self.b1)
@@ -135,38 +137,40 @@ class Realization:
                 f"expected {(joint, joint)}"
             )
         parts = [slice(0, 4)] if dim_a == dim_b else [slice(0, 2), slice(2, 4)]
-        for part in parts:
-            stack = np.array(observables[part])
-            with np.errstate(invalid="ignore"):  # NaN and inf fail below
-                skew = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-                square = stack @ stack
-            square.reshape(len(stack), -1)[:, :: stack.shape[1] + 1] -= 1  # O^2 - I
-            residual = np.abs(square).max(axis=(1, 2))
-            if (
-                skew.max() <= _HERMITIAN_TOLERANCE
-                and residual.max() <= _INVOLUTION_TOLERANCE
-            ):
-                continue
-            passed = [np.isfinite(stack).all(axis=(1, 2))]
-            passed += [skew <= _HERMITIAN_TOLERANCE, residual <= _INVOLUTION_TOLERANCE]
-            # rows are observables and columns checks, so the first failure
-            # in row-major order is the one the message names
-            k, j = np.argwhere(~np.column_stack(passed))[0]
-            detail = f": |O^2 - I| = {residual[k]:.3e}" if j == 2 else ""
-            check = ("finite", "hermitian", "involution")[j]
-            raise InvariantViolationError(
-                f"check 'observable-{check}' failed for {names[part][k]}{detail}"
-            )
-        if not np.isfinite(self.state).all():
-            raise InvariantViolationError("check 'state-finite' failed")
-        trace_residual = abs(np.trace(self.state) - 1.0)
-        if trace_residual > _TRACE_TOLERANCE:
-            raise InvariantViolationError(
-                f"check 'state-trace' failed: |tr - 1| = {trace_residual:.3e}"
-            )
-        if np.abs(self.state - self.state.conj().T).max() > _HERMITIAN_TOLERANCE:
+        state = self.state
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the bounds below
+            for part in parts:
+                stack = np.array(observables[part])
+                skew = np.abs(stack - stack.conj().swapaxes(1, 2))
+                residual = np.abs(stack @ stack - np.eye(stack.shape[1]))
+                if (
+                    skew.max() <= _HERMITIAN_TOLERANCE
+                    and residual.max() <= _INVOLUTION_TOLERANCE
+                ):
+                    continue
+                skew, residual = skew.max(axis=(1, 2)), residual.max(axis=(1, 2))
+                passed = [np.isfinite(stack).all(axis=(1, 2))]
+                passed += [skew <= _HERMITIAN_TOLERANCE]
+                passed += [residual <= _INVOLUTION_TOLERANCE]
+                # rows are observables and columns checks, so the first
+                # failure in row-major order is the one the message names
+                k, j = np.argwhere(~np.column_stack(passed))[0]
+                detail = f": |O^2 - I| = {residual[k]:.3e}" if j == 2 else ""
+                check = ("finite", "hermitian", "involution")[j]
+                raise InvariantViolationError(
+                    f"check 'observable-{check}' failed for {names[part][k]}{detail}"
+                )
+            trace_residual = abs(state.trace() - 1.0)
+            skew = np.abs(state - state.conj().T).max()
+        if not (trace_residual <= _TRACE_TOLERANCE and skew <= _HERMITIAN_TOLERANCE):
+            if not np.isfinite(state).all():
+                raise InvariantViolationError("check 'state-finite' failed")
+            if trace_residual > _TRACE_TOLERANCE:
+                raise InvariantViolationError(
+                    f"check 'state-trace' failed: |tr - 1| = {trace_residual:.3e}"
+                )
             raise InvariantViolationError("check 'state-hermitian' failed")
-        smallest = float(np.linalg.eigvalsh(self.state)[0])
+        smallest = float(np.linalg.eigvalsh(state)[0])
         if smallest < -_PSD_TOLERANCE:
             raise InvariantViolationError(
                 "check 'state-positive' failed: smallest eigenvalue "
@@ -263,17 +267,19 @@ def realize_mixture(decomposition: Decomposition) -> Realization:
     high = min(x1 * x2 + r12, x3 * x4 + r34, 1.0)
     c = 0.5 * (low + high)
     s = math.sqrt(1.0 - c * c)
-    entries = []
+    # the four 2x2 observables' entries in row-major order, each as re, im
+    parts = []
     for p, q in ((x1, x2), (x3, x4)):
         bound = math.sqrt(1.0 - p * p)
         t = min(bound, max(-bound, (q - p * c) / s)) if s else 0.0
         w = math.sqrt(max(1.0 - p * p - t * t, 0.0))
         # H (u . sigma) H = u1 Z - u2 Y + u3 X
-        entries.append(((p, complex(w, t)), (complex(w, -t), -p)))
+        parts += (p, 0.0, w, t, w, -t, -p, 0.0)
     # (v . sigma)^T = v1 X - v2 Y for v = e1 and (c, s, 0)
-    entries.append(((0.0, 1.0), (1.0, 0.0)))
-    entries.append(((0.0, complex(c, s)), (complex(c, -s), 0.0)))
-    return Realization(_PAIR_STATE.copy(), *np.array(entries, dtype=complex))
+    parts += (0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, c, s, c, -s, 0.0, 0.0)
+    fields = (_PAIR_STATE.copy(), *np.array(parts).view(complex).reshape(4, 2, 2))
+    # Realization has no __post_init__: this only skips the frozen __init__
+    return _unchecked(Realization, zip(_JSON_FIELDS.values(), fields))
 
 
 def expectation(

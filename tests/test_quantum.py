@@ -334,25 +334,65 @@ def test_positivity_check_on_full_support():
         ((0, 0), complex(math.nan, 0.0), "state-finite"),
         ((1, 2), complex(math.inf, 0.0), "state-finite"),
         ((1, 2), 0.1, "state-hermitian"),
+        # an inf that also breaks the trace is still named as not finite
+        ((0, 0), complex(math.inf, 0.0), "state-finite"),
+        ((0, 0), -0.1, "state-trace"),
     ],
 )
 def test_state_checks_with_and_without_a_zero_diagonal(
     full_diagonal, entry, value, check, block_diagonal_realization
 ):
-    # a block-diagonal pair state has zeros on its diagonal; the qubit-pair
-    # state realize_generator builds has none
+    # `value` is added to the entry: a NaN or inf replaces it, 0.1 off the
+    # diagonal breaks the Hermitian symmetry and -0.1 on it lowers the
+    # trace to 0.9
+    r = _pair_realization(full_diagonal, block_diagonal_realization)
+    state = r.state.copy()
+    state[entry] += value
+    broken = Realization(state, r.a0, r.a1, r.b0, r.b1)
+    with pytest.raises(InvariantViolationError, match=rf"^check '{check}' failed"):
+        broken.validate()
+
+
+def _pair_realization(full_diagonal, block_diagonal_realization):
+    """A valid realization of one generator whose state has zeros on its
+    diagonal (the block-diagonal layout) or none (realize_generator's)."""
     g = GeneratorPoint(0.2, 0.4, -0.1)
     if full_diagonal:
         r = realize_generator(g)
     else:
         r = block_diagonal_realization(Decomposition(((1.0, g),)))
-    state = r.state.copy()
-    assert np.diagonal(state).all() == full_diagonal
-    Realization(state, r.a0, r.a1, r.b0, r.b1).validate()
-    state[entry] = value
-    broken = Realization(state, r.a0, r.a1, r.b0, r.b1)
-    with pytest.raises(InvariantViolationError, match=rf"^check '{check}' failed"):
-        broken.validate()
+    assert np.diagonal(r.state).all() == full_diagonal
+    r.validate()
+    return r
+
+
+@pytest.mark.parametrize("full_diagonal", [False, True])
+@pytest.mark.parametrize(
+    "changes, expected",
+    [
+        # a trace of 0.9 and a non-Hermitian entry: the trace comes first
+        (
+            [("state", (0, 0), -0.1), ("state", (1, 2), 0.1)],
+            "check 'state-trace' failed: |tr - 1| = 1.000e-01",
+        ),
+        # a NaN in A1 and a non-Hermitian A0: A0 comes first
+        (
+            [("a1", (0, 0), math.nan), ("a0", (0, 1), 0.1)],
+            "check 'observable-hermitian' failed for A0",
+        ),
+    ],
+    ids=["trace-and-hermitian", "a1-nan-and-a0-hermitian"],
+)
+def test_validate_names_the_first_of_two_failed_checks(
+    full_diagonal, changes, expected, block_diagonal_realization
+):
+    r = _pair_realization(full_diagonal, block_diagonal_realization)
+    fields = {f: getattr(r, f).copy() for f in ("state", "a0", "a1", "b0", "b1")}
+    for field, entry, change in changes:
+        fields[field][entry] += change
+    with pytest.raises(InvariantViolationError) as info:
+        Realization(**fields).validate()
+    assert str(info.value) == expected
 
 
 def test_validate_accepts_non_contiguous_arrays():
