@@ -22,8 +22,8 @@ to `sample`, `--input` to the commands that read one vector.
 
 Exit codes: 0 on success (for `membership`: vector in the quantum set),
 1 when the vector is outside the quantum set or a verification check
-failed, 2 on input errors, 3 when a self-check of the library failed (an
-`internal error:` line on stderr carries the numbers that show it).
+failed, 2 on input errors and out of memory, 3 when a self-check of the
+library failed (an `internal error:` line on stderr carries the numbers).
 `--tolerance` is 1e-9 unless given, and the parser refuses a value that
 is not finite and positive.  No command reads the environment: all are
 deterministic given identical flags and seed, JSON key order is fixed,
@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +57,8 @@ from .errors import (
 )
 
 _REALIZE_RESIDUAL_BOUND = 1e-8
+# the start of any negative float() token: every subcommand reads it as a value
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 _SLICE_RELATION_TOLERANCE = 1e-9
 # the CSV columns of a membership report's verdicts and margins
 _VERDICT_COLUMNS = ("in_C", "in_Q", "margin_C", "margin_Q")
@@ -352,6 +355,7 @@ def _add_command(sub, name, func, summary, options, fmt=None):
     """Add subcommand `name`, running `func`, with the shared `options`, the
     inline vector with `--input`, and `--format` with default `fmt`."""
     parser = sub.add_parser(name, help=summary)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     if "--input" in options:
         parser.add_argument(
             "vector", nargs="*", help="the four correlators x1 x2 x3 x4"
@@ -467,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return 1
-    except (CorrSetError, OSError) as exc:
+    except (CorrSetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,8 +20,8 @@ for which each eight-inequality membership system collapses to a single
 binding inequality.  `canonicalize` computes that representative straight
 from the component values: the magnitudes in descending order, with the
 last one negated when the sign parity is odd.  The group element realizing
-it is built only on demand, by `CanonicalForm.op`, and is chosen
-deterministically so results are reproducible bit for bit.
+it is built only on demand, on each read of `CanonicalForm.op`, and is
+chosen deterministically so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -147,10 +147,6 @@ class SymmetryOp:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2, 3) and self.signs == (1, 1, 1, 1)
-
     def source_indices(self) -> tuple[int, int, int, int]:
         """Inverse permutation: source index feeding each target position."""
         p = self.perm
@@ -193,17 +189,17 @@ class CanonicalForm:
     """A canonical representative of `source`, plus the op that produced it.
 
     `canonical` is computed from the component values alone; `op` is built
-    from `source` on first read, without the checks a public
-    `SymmetryOp(...)` runs, since the sort-and-flip rule only yields group
-    elements.  `op.apply(source)` equals `canonical` exactly, and
-    `op.inverse().apply(canonical)` recovers `source` exactly, because the
-    group acts by permutation and sign flip only.
+    from `source` on each read, so a caller reads it once, without the
+    checks a public `SymmetryOp(...)` runs, since the sort-and-flip rule
+    only yields group elements.  `op.apply(source)` equals `canonical`
+    exactly, and `op.inverse().apply(canonical)` recovers `source` exactly,
+    because the group acts by permutation and sign flip only.
     """
 
     canonical: CorrelationVector
     source: CorrelationVector
 
-    @cached_property
+    @property
     def op(self) -> SymmetryOp:
         """The group element of the sort-and-flip rule in `canonicalize`."""
         comps = self.source.as_tuple()

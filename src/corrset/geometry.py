@@ -30,9 +30,9 @@ generators.  The algorithm:
    weight y1 / s.
 
 3. Mix in the zero generator G(0,0,0) to account for the radial scaling,
-   and transport every generator back through the inverse symmetry op.
-   Transport happens at the angle level: a generator is equivalently a
-   4-tuple of angles (nu1..nu4) summing to a multiple of 2*pi via
+   and transport every term back through the inverse symmetry op.  Its
+   angles move before its generator is built: a generator is equivalently
+   a 4-tuple of angles (nu1..nu4) summing to a multiple of 2*pi via
    nu4 = -(phi1+phi2+phi3); permuting the four angles and adding pi at the
    flipped positions commutes with evaluation.
 
@@ -42,7 +42,6 @@ involved anywhere.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,9 +71,9 @@ class GeneratorPoint:
 
     Angles must be finite and are reduced to (-pi, pi] on construction;
     evaluation only feeds them to sine, so the reduction never changes the
-    vector.  Generators `decompose` builds from its own finite floats
-    (`origin`, `_face_terms`, `angle_transport`, the boundary and curved
-    exits) skip the check through `_generator`, which reduces them alike.
+    vector.  Generators built from the package's own finite floats skip
+    the check through `_generator`, which reduces them alike: `origin` and
+    the transport of `angle_transport` and `decompose`.
     """
 
     phi1: float
@@ -136,11 +135,10 @@ class Decomposition:
 
     def reconstruct(self) -> CorrelationVector:
         """Weighted sum of the evaluated generators."""
-        return self._reconstructed
-
-    # computed once: `decompose` checks it and `realize_mixture` realizes it
-    @functools.cached_property
-    def _reconstructed(self) -> CorrelationVector:
+        # kept in the instance, with no lock: `decompose` checks the point
+        # and `realize_mixture` realizes it
+        if "_point" in self.__dict__:
+            return self.__dict__["_point"]
         acc = [0.0, 0.0, 0.0, 0.0]
         for w, g in self.terms:
             for i, v in enumerate(g._components()):
@@ -148,7 +146,9 @@ class Decomposition:
         # convex combinations of box points can overshoot by float dust only;
         # sums of finite terms from +0.0 are finite and never -0.0
         clamped = (min(1.0, max(-1.0, v)) for v in acc)
-        return _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, clamped))
+        point = _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, clamped))
+        self.__dict__["_point"] = point
+        return point
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -197,9 +197,9 @@ def face_segment(x2: float, x3: float) -> tuple[float, float]:
 
 def _face_terms(
     z: tuple[float, float, float, float]
-) -> tuple[tuple[float, GeneratorPoint], ...]:
+) -> tuple[tuple[float, tuple[float, float, float]], ...]:
     """Split the face point z = (1, z2, z3, z4), s-ordered and in the
-    quantum set, between two extremal generators.
+    quantum set, between two extremal generators, each given by its angles.
 
     The quantum set meets the line over (1, z2, z3) in the segment
     `face_segment(z2, z3)`, whose endpoints are generated by
@@ -210,10 +210,10 @@ def _face_terms(
     """
     theta2, theta3 = math.asin(z[1]), math.asin(z[2])
     low, high = face_segment(z[1], z[2])
-    g_low = _generator(0.5 * math.pi, theta2, theta3)
+    g_low = (0.5 * math.pi, theta2, theta3)
     if high - low < _RECONSTRUCTION_TOLERANCE:
         return ((1.0, g_low),)
-    g_high = _generator(0.5 * math.pi, theta2, math.pi - theta3)
+    g_high = (0.5 * math.pi, theta2, math.pi - theta3)
     lam = min(1.0, max(0.0, (z[3] - low) / (high - low)))
     return tuple((w, g) for w, g in ((1.0 - lam, g_low), (lam, g_high)) if w > 0.0)
 
@@ -231,11 +231,14 @@ def angle_transport(op: SymmetryOp, g: GeneratorPoint) -> GeneratorPoint:
 
     up to floating point roundoff.
     """
-    nus = (g.phi1, g.phi2, g.phi3, reduce_angle(-(g.phi1 + g.phi2 + g.phi3)))
-    q, shifts = op.source_indices(), [math.pi if s < 0 else 0.0 for s in op.signs]
-    return _generator(
-        nus[q[0]] + shifts[0], nus[q[1]] + shifts[1], nus[q[2]] + shifts[2]
-    )
+    shifts = [math.pi if s < 0 else 0.0 for s in op.signs]
+    return _transport(op.source_indices(), shifts, g.phi1, g.phi2, g.phi3)
+
+
+def _transport(q, shift, phi1, phi2, phi3) -> GeneratorPoint:
+    """G(phis) moved by the op of source indices q and pi shifts; phis in (-pi, pi]."""
+    nus = (phi1, phi2, phi3, reduce_angle(-(phi1 + phi2 + phi3)))
+    return _generator(nus[q[0]] + shift[0], nus[q[1]] + shift[1], nus[q[2]] + shift[2])
 
 
 def _ray_arcsines(
@@ -360,14 +363,15 @@ def decompose(
     form = canonicalize(x)
     y = form.canonical.as_tuple()
 
-    terms: tuple[tuple[float, GeneratorPoint], ...]
+    # each term's weight and canonical angles, in (-pi, pi] and none -0.0
+    angles: tuple[tuple[float, tuple[float, float, float]], ...]
     gamma = 1.0  # the reconstruction is checked against x / gamma
     if y[0] == 0.0:
         # the zero vector; s-order forces all components to vanish with y1
-        route, terms = "origin", ((1.0, GeneratorPoint.origin()),)
+        route, angles = "origin", ((1.0, (0.0, 0.0, 0.0)),)
     elif abs(margin) <= _RECONSTRUCTION_TOLERANCE:
         # on the curved boundary: single extremal term
-        route, terms = "boundary", ((1.0, _generator(*map(math.asin, y[:3]))),)
+        route, angles = "boundary", ((1.0, tuple(map(math.asin, y[:3]))),)
     else:
         weight = y[0]  # of the exit point; the origin takes the rest
         # the face point: s-ordered, with z1 = 1 exactly
@@ -375,20 +379,21 @@ def decompose(
         if _arcsine_sum(z) <= math.pi:
             # the ray exits through the box face x1 = 1
             route = "face"
-            terms = tuple((w * weight, g) for w, g in _face_terms(z))
+            angles = tuple((w * weight, g) for w, g in _face_terms(z))
         else:
             # the ray exits through the curved boundary at sin(theta1) * z
             theta1 = _boundary_angle(z)
             (phi2, phi3, _), _ = _ray_arcsines(z, 0.5 * math.pi - theta1)
             gamma = weight / math.sin(theta1)
             weight, gamma = min(1.0, gamma), max(1.0, gamma)
-            route, terms = "curved", ((weight, _generator(theta1, phi2, phi3)),)
+            route, angles = "curved", ((weight, (theta1, phi2, phi3)),)
         if 1.0 - weight > 0.0:
-            terms += ((1.0 - weight, GeneratorPoint.origin()),)
+            angles += ((1.0 - weight, (0.0, 0.0, 0.0)),)
 
-    inverse = form.op.inverse()
-    if not inverse.is_identity:
-        terms = tuple((w, angle_transport(inverse, g)) for w, g in terms)
+    # back through op's inverse: source indices op.perm, signs op.signs[op.perm]
+    op = form.op
+    shifts = [math.pi if op.signs[j] < 0 else 0.0 for j in op.perm]
+    terms = tuple((w, _transport(op.perm, shifts, *phis)) for w, phis in angles)
 
     # 1 to 3 weights in [0, 1] summing to 1 by construction: skip the checks
     result = _unchecked(Decomposition, {"terms": terms})

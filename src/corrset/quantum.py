@@ -75,6 +75,7 @@ _IMAGINARY_TOLERANCE = 1e-10
 
 MIN_LOCAL_DIMENSION = 2
 MAX_LOCAL_DIMENSION = 8
+_IDENTITIES = tuple(map(np.eye, range(MAX_LOCAL_DIMENSION + 1)))  # d x d at d
 
 # Bytes of float64 normals per batched sampling kernel call.  Each call has
 # a fixed cost, so blocks are large; the cap is in bytes, as the best index
@@ -141,8 +142,10 @@ class Realization:
         with np.errstate(invalid="ignore"):  # NaN and inf fail the bounds below
             for part in parts:
                 stack = np.array(observables[part])
+                d = stack.shape[1]
+                eye = _IDENTITIES[d] if d <= MAX_LOCAL_DIMENSION else np.eye(d)
                 skew = np.abs(stack - stack.conj().swapaxes(1, 2))
-                residual = np.abs(stack @ stack - np.eye(stack.shape[1]))
+                residual = np.abs(stack @ stack - eye)
                 if (
                     skew.max() <= _HERMITIAN_TOLERANCE
                     and residual.max() <= _INVOLUTION_TOLERANCE
@@ -543,6 +546,8 @@ def sample_correlations(
     seed = operator.index(seed)
     if count < 0:
         raise DimensionError(f"count must be nonnegative, got {count}")
+    if 32 * count > np.iinfo(np.intp).max:  # bytes of the float64 rows
+        raise DimensionError(f"count {count} is too large: numpy cannot size its rows")
     block = _sample_block_size(dim_a, dim_b)
     args = [
         (start, stop, dim_a, dim_b, seed, block)

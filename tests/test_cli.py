@@ -105,6 +105,33 @@ def test_tolerance_must_be_positive(capsys):
         assert "tolerance must be positive, got " in err
 
 
+def test_components_in_exponent_form_are_values(capsys):
+    # argparse alone reads -1e-3 as an option; every token float() accepts
+    # as negative is a value, of a component with or without `--`
+    plain = run(capsys, "membership", "0.5", "0", "0", "-0.001")
+    assert plain[0] == 0
+    for token in ("-1e-3", "-1E-3", "-1.0e-03", "-.1e-2"):
+        assert run(capsys, "membership", "0.5", "0", "0", token) == plain
+        assert run(capsys, "membership", "--", "0.5", "0", "0", token) == plain
+    code, out, _ = run(capsys, "membership", "--format", "csv", "-2.5E-1", *"000")
+    assert code == 0 and out.splitlines()[1].startswith("True,True,1.75,")
+    for token in ("-inf", "-nan", "-Infinity"):
+        code, out, err = run(capsys, "membership", "0.5", "0", "0", token)
+        assert (code, out) == (2, "")
+        assert "error: component x4 is not finite: " in err
+    # an option's value too, in every subcommand
+    for argv in (["sample", "5"], ["membership", "0", "0", "0", "0"]):
+        code, out, err = run(capsys, *argv, "--tolerance", "-1e-3")
+        assert (code, out) == (2, "")
+        assert "tolerance must be positive, got -0.001" in err
+    # the program's own output, passed back inline
+    code, out, _ = run(capsys, "mu", "0.5", "0", "0", "-1e-5")
+    image = json.loads(out)
+    assert code == 0 and "e-" in repr(image[3])
+    code, out, _ = run(capsys, "mu", "--inverse", *map(repr, image))
+    assert code == 0 and json.loads(out)[3] == pytest.approx(-1e-5, rel=1e-12)
+
+
 def test_output_ignores_the_environment(capsys, monkeypatch):
     # the vector lies about 5e-7 outside Q, which a tolerance of 1e-3 would
     # admit, and sample's summary states its tolerance
@@ -672,6 +699,32 @@ def test_sample_rejects_empty(capsys):
     code, _, err = run(capsys, "sample", "0")
     assert code == 2
     assert "at least 1" in err
+
+
+def test_sample_count_numpy_cannot_size(capsys, monkeypatch):
+    # refused before any sampling, naming the count
+    def no_sampling(*args):
+        raise AssertionError("sampling ran")
+
+    monkeypatch.setattr(quantum, "_sample_chunk", no_sampling)
+    count = "99999999999999999999"
+    code, out, err = run(capsys, "sample", count, "--dims", "2,2")
+    assert (code, out) == (2, "")
+    assert err == f"error: count {count} is too large: numpy cannot size its rows\n"
+
+
+def test_sample_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # a row array that cannot be allocated exits 2 with numpy's message,
+    # which names the count, not with a traceback
+    message = "Unable to allocate 160. B for an array with shape (5, 4)"
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(quantum, "_sample_chunk", no_memory)
+    code, out, err = run(capsys, "sample", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -55,3 +55,14 @@ def test_package_reads_no_environment_variable():
         for path in (ROOT / "src" / "corrset").glob("*.py")
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_uses_no_cached_property():
+    # on Python 3.11 a cached_property's first read takes a lock, about 1 us
+    # on the construct path, which reads each such value once per op
+    found = [
+        path.name
+        for path in (ROOT / "src" / "corrset").glob("*.py")
+        if "cached_property" in _names_read(path)
+    ]
+    assert found == []

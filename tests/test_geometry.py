@@ -675,6 +675,58 @@ def test_reconstruction_error_names_the_exit(monkeypatch, x, route):
         decompose(CorrelationVector(*x))
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        (0.0, 0.0, 0.0, 0.0),
+        (0.5, 0.2, -0.1, 0.0),
+        (0.6, 0.6, 0.6, -0.6),
+        (0.7071067811865476,) * 3 + (-0.7071067811865476,),
+        (0.0, -0.1, 0.2, -0.5),
+    ],
+)
+def test_decompose_builds_each_generator_once(monkeypatch, x):
+    # the exits give angles, which are moved to x's position before the
+    # generator is built, also for an input outside canonical position
+    calls = []
+    build = geometry._generator
+
+    def counted(*phis):
+        calls.append(phis)
+        return build(*phis)
+
+    monkeypatch.setattr(geometry, "_generator", counted)
+    d = decompose(CorrelationVector(*x))
+    assert len(calls) == len(d.terms)
+
+
+def test_decompose_transport_is_angle_transport():
+    # for every op of the group, decompose moves the canonical terms to the
+    # input's position bit for bit as angle_transport through the inverse
+    # op does; distinct nonzero magnitudes make the op the canonical one
+    rng = np.random.default_rng(31)
+    phis = rng.uniform(-math.pi, math.pi, size=(12, 3))
+    points = generator_values(phis) * rng.uniform(0.3, 1.0, size=(12, 1))
+    # angles in (0.6, 1.5) sum to within (pi/2, 3 pi/2): boundary points
+    points[:4] = generator_values(rng.uniform(0.6, 1.5, size=(4, 3)))
+    canonical = [canonicalize(CorrelationVector(*p)).canonical for p in points]
+    canonical = [y for y in canonical if len(set(map(abs, y.as_tuple()))) == 4]
+    canonical = [y for y in canonical if 0.0 not in y.as_tuple()]
+    routes = set()
+    for y in canonical:
+        base = decompose(y)
+        face = base.terms[0][1].phi1 == 0.5 * math.pi
+        routes.add("boundary" if len(base.terms) == 1 else "face" if face else "curved")
+        for op in full_symmetry_group():
+            x = op.inverse().apply(y)
+            assert canonicalize(x).op == op
+            d = decompose(x)
+            assert d.weights == base.weights
+            for (_, g), (_, g0) in zip(d.terms, base.terms):
+                assert _phis(g) == _phis(angle_transport(op.inverse(), g0))
+    assert routes == {"boundary", "face", "curved"}
+
+
 def test_reconstruct_clamps_weight_dust_to_the_box():
     # weights may sum to 1 + 1e-12; the reconstructed vector, built without
     # a check, must still lie in the box

@@ -416,6 +416,21 @@ def test_validate_accepts_integer_observables():
     Realization(r.state, z, z, z, z).validate()
 
 
+def test_validate_local_dimensions_beyond_sampling():
+    # a stored realization may have d > MAX_LOCAL_DIMENSION, past the
+    # module's identity matrices
+    d = quantum.MAX_LOCAL_DIMENSION + 2
+    a = np.diag([1.0, -1.0] * (d // 2)).astype(complex)
+    b = np.diag([1.0, -1.0]).astype(complex)
+    state = np.zeros((2 * d, 2 * d), complex)
+    state[0, 0] = 1.0
+    Realization(state, a, a, b, b).validate()
+    with pytest.raises(
+        InvariantViolationError, match=r"^check 'observable-involution' failed for A1"
+    ):
+        Realization(state, a, 0.5 * a, b, b).validate()
+
+
 @pytest.mark.parametrize("name", ["a1", "b1"])
 def test_validate_requires_one_observable_shape_per_party(name):
     # a 3x3 involution beside a 2x2 one: named before any other check, and
