@@ -185,7 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = Path(args.realization).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # or an integer past int's digit limit
         raise DomainError(f"realization file is not valid JSON: {exc}") from exc
     realization = quantum.Realization.from_json_dict(data)
     vector = quantum.expectation(realization)

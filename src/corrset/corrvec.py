@@ -29,18 +29,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteInputError, OutOfBoxError
+from .errors import InternalCheckError, NonFiniteInputError, OutOfBoxError
 
 # Default tolerance for box validation; membership tests share it.
 DEFAULT_TOLERANCE = 1e-9
 
 _COMPONENT_NAMES = ("x1", "x2", "x3", "x4")
+
+_LARGEST_FLOAT = sys.float_info.max
 
 
 def _clean(value: float) -> float:
@@ -73,29 +76,43 @@ class CorrelationVector:
         Components may overshoot the box by at most `tolerance`; anything
         further out, or not a number, raises OutOfBoxError naming the
         offending component.
-        Each value is converted, checked and clamped once, with -0.0 turned
-        into +0.0, so the vector is built without `__post_init__` running
-        the same work again; it equals `cls(*clamped)` bit for bit.
+        One rule admits a vector: each component converts with `float` and
+        lies within [-b, b], b = 1 + tolerance, or the largest finite float
+        when that is NaN or +inf, so only finite values pass.  `_refuse`
+        names what the rule refuses, so no input has a second path to
+        admission.  Admitted values are clamped, with -0.0 turned into +0.0,
+        and set without `__post_init__`, so the vector equals
+        `cls(*clamped)` bit for bit.
         """
-        values = list(raw)
-        if len(values) != 4:
-            raise OutOfBoxError(f"expected 4 components, got {len(values)}")
-        cleaned = {}
-        for name, v in zip(_COMPONENT_NAMES, values):
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                message = f"component {name} is not a number: {v!r}"
-                raise OutOfBoxError(message) from None
-            if not math.isfinite(v):
-                raise NonFiniteInputError(f"component {name} is not finite: {v!r}")
-            if abs(v) > 1.0 + tolerance:
-                raise OutOfBoxError(
-                    f"component {name} = {v!r} lies outside [-1, 1] "
-                    f"beyond tolerance {tolerance:g}"
-                )
-            cleaned[name] = min(1.0, max(-1.0, v)) + 0.0
-        return _unchecked(cls, cleaned)
+        values = tuple(raw)
+        try:
+            a, b, c, d = values
+            a = float(a)
+            b = float(b)
+            c = float(c)
+            d = float(d)
+        except (TypeError, ValueError, OverflowError):
+            _refuse(values, tolerance)
+        bound = 1.0 + tolerance
+        if not bound <= _LARGEST_FLOAT:  # NaN or +inf
+            bound = _LARGEST_FLOAT
+        low = -bound
+        if not (
+            low <= a <= bound
+            and low <= b <= bound
+            and low <= c <= bound
+            and low <= d <= bound
+        ):
+            _refuse(values, tolerance)
+        return _unchecked(
+            cls,
+            {
+                "x1": 1.0 if a > 1.0 else -1.0 if a < -1.0 else a + 0.0,
+                "x2": 1.0 if b > 1.0 else -1.0 if b < -1.0 else b + 0.0,
+                "x3": 1.0 if c > 1.0 else -1.0 if c < -1.0 else c + 0.0,
+                "x4": 1.0 if d > 1.0 else -1.0 if d < -1.0 else d + 0.0,
+            },
+        )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.x2, self.x3, self.x4)
@@ -111,9 +128,20 @@ class CorrelationVector:
     def from_json(
         cls, text: str, tolerance: float = DEFAULT_TOLERANCE
     ) -> "CorrelationVector":
-        data = json.loads(text)
+        """Read a JSON array of four numbers through `validate`.  Unlike
+        `validate`, it takes JSON numbers only: a boolean or a string is not
+        a number, and neither is an integer too long for `int` to read."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer past int's digit limit
+            message = f"expected a JSON array of 4 numbers: {exc}"
+            raise OutOfBoxError(message) from None
         if not isinstance(data, list):
             raise OutOfBoxError("expected a JSON array of 4 numbers")
+        if any(isinstance(v, (bool, str)) for v in data):
+            _refuse(tuple(data), tolerance, json_numbers_only=True)
         return cls.validate(data, tolerance=tolerance)
 
 
@@ -213,6 +241,38 @@ class CanonicalForm:
         return _group_element(perm, tuple(signs))
 
 
+def _refuse(
+    values: tuple, tolerance: float, json_numbers_only: bool = False
+) -> NoReturn:
+    """Raise the error for the first component of `values` that
+    `CorrelationVector.validate` refuses, or for their count; with
+    `json_numbers_only`, a boolean or a string is not a number either."""
+    if len(values) != 4:
+        raise OutOfBoxError(f"expected 4 components, got {len(values)}")
+    for name, v in zip(_COMPONENT_NAMES, values):
+        try:
+            if json_numbers_only and isinstance(v, (bool, str)):
+                raise TypeError
+            v = float(v)
+        except (TypeError, ValueError):
+            message = f"component {name} is not a number: {v!r}"
+            raise OutOfBoxError(message) from None
+        except OverflowError as exc:  # an int too large for a float
+            message = f"component {name} lies outside [-1, 1]: {exc}"
+            raise OutOfBoxError(message) from None
+        if not math.isfinite(v):
+            raise NonFiniteInputError(f"component {name} is not finite: {v!r}")
+        if abs(v) > 1.0 + tolerance:
+            raise OutOfBoxError(
+                f"component {name} = {v!r} lies outside [-1, 1] "
+                f"beyond tolerance {tolerance:g}"
+            )
+    raise InternalCheckError(
+        f"validate refused {values!r} at tolerance {tolerance!r}, "
+        "but every component is a number within the box"
+    )
+
+
 def _unchecked(cls, fields):
     """An instance of the frozen dataclass `cls` with `fields` (a mapping or
     pairs of field name and value) set directly, without `__post_init__`.
@@ -243,15 +303,15 @@ def canonicalize(x: CorrelationVector) -> CanonicalForm:
     leftover minus sign.
     """
     comps = x.as_tuple()
-    values = sorted(map(abs, comps), reverse=True)
+    a, b, c, d = sorted(map(abs, comps), reverse=True)
     negatives = (
         (comps[0] < 0.0) + (comps[1] < 0.0) + (comps[2] < 0.0) + (comps[3] < 0.0)
     )
-    if negatives % 2 and values[3] != 0.0:
-        values[3] = -values[3]
+    if negatives % 2 and d != 0.0:
+        d = -d
     # the magnitudes of a CorrelationVector's components are finite and never
     # -0.0, which is all its constructor enforces, so they skip it
-    canonical = _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, values))
+    canonical = _unchecked(CorrelationVector, {"x1": a, "x2": b, "x3": c, "x4": d})
     return _unchecked(CanonicalForm, {"canonical": canonical, "source": x})
 
 

@@ -235,10 +235,12 @@ def _complex_matrix_from_json(key: str, data: list) -> np.ndarray:
             for j, entry in enumerate(row):
                 where = f"{key}[{i}][{j}]"
                 re, im = entry  # refuses an entry that is not two values
+                if isinstance(re, bool) or isinstance(im, bool):
+                    raise TypeError(f"a boolean is not a number: {entry!r}")
                 rows[-1].append(complex(re, im))
         where = key
         matrix = np.array(rows, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
     if matrix.ndim != 2:
         raise ValueError(f"{key}: matrix JSON must be a nested list of [re, im] pairs")

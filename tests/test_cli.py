@@ -356,6 +356,10 @@ _MALFORMED_ENTRIES = {
     "three-number entry": lambda data: data["A0"][0][0].append(99.0),
     "string in an entry": lambda data: data["B1"][1].__setitem__(0, ["x", 1.0]),
     "number for a row": lambda data: data["A1"].__setitem__(1, 5),
+    "boolean entry": lambda data: data["B0"][1].__setitem__(1, [True, False]),
+    "integer too large for a float": lambda data: data["A0"][1].__setitem__(
+        0, [10**400, 0]
+    ),
 }
 # the matrix and entry each message names
 _MALFORMED_WHERE = {
@@ -364,6 +368,8 @@ _MALFORMED_WHERE = {
     "three-number entry": "A0[0][0]",
     "string in an entry": "B1[1][0]",
     "number for a row": "A1[1]",
+    "boolean entry": "B0[1][1]",
+    "integer too large for a float": "A0[1][0]",
 }
 
 
@@ -427,6 +433,9 @@ _BAD_VECTOR_FILES = {
     "line 1 column 11 (char 10)\n",
     '["a", 0.2, 0.1, 0]': "error: component x1 is not a number: 'a'\n",
     "[null, 0.2, 0.1, 0]": "error: component x1 is not a number: None\n",
+    # a vector file holds JSON numbers only
+    "[true, false, 0, 0]": "error: component x1 is not a number: True\n",
+    '["0.5", 0.2, 0.1, 0]': "error: component x1 is not a number: '0.5'\n",
 }
 
 
@@ -439,12 +448,22 @@ def test_input_file_errors_name_their_problem(capsys, tmp_path, command, text):
     assert (code, out, err) == (2, "", _BAD_VECTOR_FILES[text])
 
 
-def test_input_file_takes_numeric_strings(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        (400, "component x1 lies outside [-1, 1]: int too large to convert to float"),
+        (5000, "expected a JSON array of 4 numbers: Exceeds the limit (4300 digits)"),
+    ],
+)
+def test_input_file_refuses_an_integer_too_large_for_a_float(
+    capsys, tmp_path, digits, message
+):
     source = tmp_path / "vector.json"
-    source.write_text('["0.5", 0.2, 0.1, 0]')
-    code, out, _ = run(capsys, "mu", "--input", str(source))
-    inline = run(capsys, "mu", "0.5", "0.2", "0.1", "0")
-    assert (code, out) == inline[:2]
+    source.write_text("[1" + "0" * digits + ", 0, 0, 0]")
+    code, out, err = run(capsys, "membership", "--input", str(source))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["5", '"abc"', "[1]", "null"])
@@ -457,6 +476,15 @@ def test_verify_refuses_a_file_that_is_not_an_object(capsys, tmp_path, text):
         "error: check 'serialization' failed: expected a JSON object with keys "
         "state, A0, A1, B0, B1, got "
     )
+    assert err.count("\n") == 1
+
+
+def test_verify_refuses_an_integer_past_the_digit_limit(capsys, tmp_path):
+    target = tmp_path / "realization.json"
+    target.write_text('{"state": [[[1' + "0" * 5000 + ", 0]]]}")
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: realization file is not valid JSON: ")
     assert err.count("\n") == 1
 
 

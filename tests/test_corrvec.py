@@ -1,14 +1,17 @@
 """Tests for correlation vectors, the symmetry group and canonical forms."""
 
+import fractions
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrset import corrvec
 from corrset.corrvec import (
     CanonicalForm,
     CorrelationVector,
@@ -106,6 +109,184 @@ def test_validate_errors(raw, error, message):
     with pytest.raises(error) as info:
         CorrelationVector.validate(raw, tolerance=TOL)
     assert str(info.value) == message
+
+
+def _loop_validate(raw, tolerance):
+    """The per-component loop `validate` ran before its one-comparison rule,
+    kept as the oracle: the clamped components, or the first refusal."""
+    values = list(raw)
+    if len(values) != 4:
+        raise OutOfBoxError(f"expected 4 components, got {len(values)}")
+    cleaned = []
+    for name, v in zip(("x1", "x2", "x3", "x4"), values):
+        try:
+            v = float(v)
+        except (TypeError, ValueError):
+            message = f"component {name} is not a number: {v!r}"
+            raise OutOfBoxError(message) from None
+        if not math.isfinite(v):
+            raise NonFiniteInputError(f"component {name} is not finite: {v!r}")
+        if abs(v) > 1.0 + tolerance:
+            raise OutOfBoxError(
+                f"component {name} = {v!r} lies outside [-1, 1] "
+                f"beyond tolerance {tolerance:g}"
+            )
+        cleaned.append(min(1.0, max(-1.0, v)) + 0.0)
+    return tuple(cleaned)
+
+
+def _outcome(validate, raw, tolerance):
+    """The component bits and types of the vector, or the refusal's type and
+    text."""
+    try:
+        comps = validate(raw, tolerance)
+    except Exception as exc:  # the oracle's refusals are part of the outcome
+        return type(exc), str(exc)
+    return tuple((struct.pack("<d", v), type(v)) for v in comps)
+
+
+def _assert_validate_matches_the_loop(raw, tolerance):
+    # no case holds an int too large for a float: the loop let its
+    # OverflowError escape, and validate now refuses it by name
+    expected = _outcome(_loop_validate, raw, tolerance)
+    got = _outcome(
+        lambda r, t: CorrelationVector.validate(r, t).as_tuple(), raw, tolerance
+    )
+    assert got == expected
+
+
+_TOLERANCES = (0.0, 1e-9, 1e-6, -1e-3, -2.5, math.nan, math.inf, -math.inf)
+
+
+def _box_edges(tolerance):
+    """Components at and beside the box and its tolerance bound."""
+    edges = [1.0, -1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    for b in (1.0, 1.0 + tolerance):
+        for v in (b, math.nextafter(b, math.inf), math.nextafter(b, -math.inf)):
+            edges += [v, -v]
+    return edges
+
+
+_ODD_COMPONENTS = (
+    np.float64(-0.0),
+    np.float64(1.0 + 1e-9),
+    np.float32(-1.0),
+    np.int64(-1),
+    np.int64(2),
+    True,
+    False,
+    "0.5",
+    "-0.0",
+    "1.0000000005",
+    "nan",
+    "-inf",
+    "abc",
+    None,
+    [0.1],
+    (),
+)
+
+
+@pytest.mark.parametrize("tolerance", _TOLERANCES)
+def test_validate_matches_the_loop_at_the_edges(tolerance):
+    edges = _box_edges(tolerance)
+    for v in edges + list(_ODD_COMPONENTS):
+        for position in range(4):
+            raw = [0.5, -0.25, 0.0, 0.75]
+            raw[position] = v
+            _assert_validate_matches_the_loop(raw, tolerance)
+    for a, b in itertools.product(edges, repeat=2):
+        _assert_validate_matches_the_loop((a, 0.0, b, -0.0), tolerance)
+        _assert_validate_matches_the_loop([b, a, "x", 2.0], tolerance)
+    for raw in ([0.5] * 3, [0.5] * 5, [], (0.5, None, 0.0), "0.51", b"0.51"):
+        _assert_validate_matches_the_loop(raw, tolerance)
+
+
+_any_component = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from(_box_edges(1e-9) + _box_edges(1e-6) + list(_ODD_COMPONENTS)),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(np.int64),
+    st.floats(-2.0, 2.0).map(np.float64),
+    st.booleans(),
+    st.floats(-2.0, 2.0).map(repr),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    raw=st.lists(_any_component, min_size=3, max_size=5),
+    tolerance=st.one_of(st.sampled_from(_TOLERANCES), st.floats()),
+)
+def test_validate_matches_the_loop(raw, tolerance):
+    _assert_validate_matches_the_loop(raw, tolerance)
+
+
+def test_admitted_vectors_never_enter_the_diagnosis(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return refuse(*args, **kwargs)
+
+    refuse = corrvec._refuse
+    monkeypatch.setattr(corrvec, "_refuse", counted)
+    admitted = [
+        (1.0 + TOL, -1.0 - TOL, -0.0, 0.25),
+        (np.float64(0.5), True, "-1", np.int64(0)),
+        *itertools.product((-1.0, -0.5, -0.0, 0.0, 1.0), repeat=4),
+    ]
+    for raw in admitted:
+        CorrelationVector.validate(raw, tolerance=TOL)
+    assert calls == []
+    with pytest.raises(OutOfBoxError):
+        CorrelationVector.validate((0.0, 0.0, 1.5, 0.0), tolerance=TOL)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ((10**400, 0, 0, 0), "component x1"),
+        ((0.5, -(10**400), 0, 0), "component x2"),
+        ((0.5, 0, 0, fractions.Fraction(10**400)), "component x4"),
+    ],
+)
+def test_validate_refuses_a_number_too_large_for_a_float(raw, message):
+    with pytest.raises(OutOfBoxError) as info:
+        CorrelationVector.validate(raw, tolerance=TOL)
+    assert str(info.value).startswith(f"{message} lies outside [-1, 1]: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[true, false, 0, 0]", "component x1 is not a number: True"),
+        ('[0, 0, 0, "0.5"]', "component x4 is not a number: '0.5'"),
+        ("[0, false, 0, 0]", "component x2 is not a number: False"),
+        # the first bad component, and the count, still come first
+        (
+            "[2.0, true, 0, 0]",
+            "component x1 = 2.0 lies outside [-1, 1] beyond tolerance 1e-09",
+        ),
+        ("[true, 0, 0]", "expected 4 components, got 3"),
+        pytest.param(
+            "[1" + "0" * 400 + ", 0, 0, 0]",
+            "component x1 lies outside [-1, 1]: int too large to convert to float",
+            id="400-digit integer",
+        ),
+    ],
+)
+def test_from_json_takes_json_numbers_only(text, message):
+    with pytest.raises(OutOfBoxError) as info:
+        CorrelationVector.from_json(text, tolerance=TOL)
+    assert str(info.value) == message
+
+
+def test_from_json_refuses_an_integer_past_the_digit_limit():
+    with pytest.raises(OutOfBoxError, match=r"^expected a JSON array of 4 numbers: "):
+        CorrelationVector.from_json("[1" + "0" * 5000 + ", 0, 0, 0]")
 
 
 def test_json_round_trip():
