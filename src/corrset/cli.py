@@ -111,12 +111,19 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{what} is not UTF-8 text: {exc}") from exc
+
+
 def _read_vector(args: argparse.Namespace) -> CorrelationVector:
     tolerance, inline = args.tolerance, args.vector or []
     if args.input is not None:
         if inline:
             raise DomainError("give the vector inline or via --input, not both")
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = _read_text(args.input, "vector file")
         try:
             return CorrelationVector.from_json(text, tolerance=tolerance)
         except json.JSONDecodeError as exc:
@@ -182,7 +189,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = Path(args.realization).read_text(encoding="utf-8")
+    text = _read_text(args.realization, "realization file")
     try:
         data = json.loads(text)
     except ValueError as exc:  # or an integer past int's digit limit

@@ -46,14 +46,10 @@ _COMPONENT_NAMES = ("x1", "x2", "x3", "x4")
 _LARGEST_FLOAT = sys.float_info.max
 
 
-def _clean(value: float) -> float:
-    # normalize -0.0 to +0.0 so serialization and comparisons are stable
-    return float(value) + 0.0
-
-
 @dataclass(frozen=True)
 class CorrelationVector:
-    """Immutable vector of the four correlators, each in [-1, 1]."""
+    """Immutable vector of the four correlators, each in [-1, 1]: the
+    constructor admits what `validate` admits at tolerance 0, bit for bit."""
 
     x1: float
     x2: float
@@ -61,11 +57,8 @@ class CorrelationVector:
     x4: float
 
     def __post_init__(self) -> None:
-        for name in _COMPONENT_NAMES:
-            v = _clean(getattr(self, name))
-            if not math.isfinite(v):
-                raise NonFiniteInputError(f"component {name} is not finite: {v!r}")
-            object.__setattr__(self, name, v)
+        box = CorrelationVector.validate((self.x1, self.x2, self.x3, self.x4), 0.0)
+        self.__dict__.update(box.__dict__)
 
     @classmethod
     def validate(
@@ -81,8 +74,8 @@ class CorrelationVector:
         when that is NaN or +inf, so only finite values pass.  `_refuse`
         names what the rule refuses, so no input has a second path to
         admission.  Admitted values are clamped, with -0.0 turned into +0.0,
-        and set without `__post_init__`, so the vector equals
-        `cls(*clamped)` bit for bit.
+        and set without `__post_init__`, which runs this rule at tolerance
+        0; so the vector equals `cls(*clamped)` bit for bit.
         """
         values = tuple(raw)
         try:
@@ -309,8 +302,8 @@ def canonicalize(x: CorrelationVector) -> CanonicalForm:
     )
     if negatives % 2 and d != 0.0:
         d = -d
-    # the magnitudes of a CorrelationVector's components are finite and never
-    # -0.0, which is all its constructor enforces, so they skip it
+    # the magnitudes of a CorrelationVector's components lie in [0, 1] and
+    # are never -0.0, so the constructor's box rule would admit them as they are
     canonical = _unchecked(CorrelationVector, {"x1": a, "x2": b, "x3": c, "x4": d})
     return _unchecked(CanonicalForm, {"canonical": canonical, "source": x})
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import membership
 from .corrvec import DEFAULT_TOLERANCE, CorrelationVector, SymmetryOp, canonicalize
-from .corrvec import _COMPONENT_NAMES, _unchecked
+from .corrvec import _unchecked
 from .errors import InternalCheckError, NotInQuantumSetError, PreconditionError
 
 _TWO_PI = 2.0 * math.pi
@@ -143,10 +143,9 @@ class Decomposition:
         for w, g in self.terms:
             for i, v in enumerate(g._components()):
                 acc[i] += w * v
-        # convex combinations of box points can overshoot by float dust only;
-        # sums of finite terms from +0.0 are finite and never -0.0
-        clamped = (min(1.0, max(-1.0, v)) for v in acc)
-        point = _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, clamped))
+        # convex combinations of box points overshoot by float dust only,
+        # which `validate` clamps at any tolerance
+        point = CorrelationVector.validate(acc, math.inf)
         self.__dict__["_point"] = point
         return point
 

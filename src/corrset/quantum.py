@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrvec import _COMPONENT_NAMES, CorrelationVector, _unchecked
+from .corrvec import CorrelationVector, _unchecked
 from .errors import DimensionError, DomainError, InvariantViolationError
 from .geometry import Decomposition
 
@@ -294,7 +294,8 @@ def expectation(
 
     Validates the realization invariants first (skippable for callers that
     just built a trusted one).  Each trace must be real within 1e-10; the
-    real parts are clamped to [-1, 1], and a NaN one raises
+    real parts go through `CorrelationVector.validate` at tolerance inf,
+    which clamps them to [-1, 1] and refuses a NaN or infinite one with
     NonFiniteInputError.
     """
     if validate:
@@ -313,12 +314,7 @@ def expectation(
             f"(A{worst // 2} B{worst % 2}) has imaginary residue "
             f"{values.imag[worst]:.3e}"
         )
-    # max(nan, -1.0) is nan, so a NaN passes the clamp to the checked
-    # constructor, which names it; the other values need no check
-    clamped = [min(max(v, -1.0), 1.0) + 0.0 for v in values.real.tolist()]
-    if math.isnan(sum(clamped)):
-        return CorrelationVector(*clamped)
-    return _unchecked(CorrelationVector, zip(_COMPONENT_NAMES, clamped))
+    return CorrelationVector.validate(values.real.tolist(), math.inf)
 
 
 def _check_dims(dim_a: int, dim_b: int) -> None:

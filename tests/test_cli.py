@@ -488,6 +488,28 @@ def test_verify_refuses_an_integer_past_the_digit_limit(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+_NOT_UTF8 = (
+    "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+    "invalid start byte\n"
+)
+
+
+def test_input_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    # this ended in a UnicodeDecodeError traceback with exit 1, the
+    # "outside Q" code
+    source = tmp_path / "vector.json"
+    source.write_bytes(b"\xff\xfe[0.5, 0, 0, 0]")
+    code, out, err = run(capsys, "membership", "--input", str(source))
+    assert (code, out, err) == (2, "", f"error: vector file {_NOT_UTF8}")
+
+
+def test_verify_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    target = tmp_path / "realization.json"
+    target.write_bytes(b"\xff\xfe[0.5, 0, 0, 0]")
+    code, out, err = run(capsys, "verify", str(target))
+    assert (code, out, err) == (2, "", f"error: realization file {_NOT_UTF8}")
+
+
 def test_verify_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
     assert code == 2

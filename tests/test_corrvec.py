@@ -20,6 +20,8 @@ from corrset.corrvec import (
     full_symmetry_group,
 )
 from corrset.errors import NonFiniteInputError, OutOfBoxError
+from corrset.geometry import decompose
+from corrset.membership import evaluate, mu
 
 components = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 vectors = st.tuples(components, components, components, components)
@@ -221,6 +223,84 @@ _any_component = st.one_of(
 )
 def test_validate_matches_the_loop(raw, tolerance):
     _assert_validate_matches_the_loop(raw, tolerance)
+
+
+def _constructed(raw, tolerance):
+    return CorrelationVector(*raw).as_tuple()
+
+
+def _validated(raw, tolerance):
+    return CorrelationVector.validate(raw, tolerance).as_tuple()
+
+
+def _assert_constructor_matches_validate(raw):
+    # the constructor's rule is `validate` at tolerance 0, the box itself
+    expected = _outcome(_validated, raw, 0.0)
+    assert _outcome(_constructed, raw, 0.0) == expected
+
+
+_ONE_PAST_ONE = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize(
+    "value",
+    [
+        1.0,
+        -1.0,
+        _ONE_PAST_ONE,
+        -_ONE_PAST_ONE,
+        5.0,
+        0.0,
+        -0.0,
+        math.nan,
+        math.inf,
+        -math.inf,
+        None,
+        "abc",
+        "0.5",
+        "-0.0",
+        "5",
+        True,
+        False,
+        np.float64(-0.0),
+        np.float32(0.5),
+        np.float64(_ONE_PAST_ONE),
+        np.int64(-1),
+        np.int64(5),
+    ],
+    ids=repr,
+)
+def test_constructor_admits_what_validate_admits_at_tolerance_0(value, position):
+    raw = [0.5, -0.25, -0.0, 0.75]
+    raw[position] = value
+    _assert_constructor_matches_validate(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=st.lists(_any_component, min_size=4, max_size=4))
+def test_constructor_matches_validate_at_tolerance_0(raw):
+    _assert_constructor_matches_validate(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, error, message",
+    [
+        (
+            (5, 0, 0, 0),
+            OutOfBoxError,
+            "component x1 = 5.0 lies outside [-1, 1] beyond tolerance 0",
+        ),
+        ((0, None, 0, 0), OutOfBoxError, "component x2 is not a number: None"),
+    ],
+)
+@pytest.mark.parametrize("stage", [evaluate, decompose, mu])
+def test_no_stage_is_reached_with_a_vector_outside_the_box(stage, raw, error, message):
+    # CorrelationVector(5, 0, 0, 0) was built, and each stage then failed
+    # with a bare ValueError: math domain error; None raised a bare TypeError
+    with pytest.raises(error) as info:
+        stage(CorrelationVector(*raw))
+    assert str(info.value) == message
 
 
 def test_admitted_vectors_never_enter_the_diagnosis(monkeypatch):

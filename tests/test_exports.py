@@ -66,3 +66,28 @@ def test_package_uses_no_cached_property():
         if "cached_property" in _names_read(path)
     ]
     assert found == []
+
+
+def _builds_vectors_unchecked(path: Path) -> bool:
+    """Whether the code of `path` calls `_unchecked(CorrelationVector, ...)`."""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_unchecked"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "CorrelationVector"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def test_only_corrvec_admits_a_vector():
+    # one rule admits a CorrelationVector, `validate`'s; every other module
+    # goes through it or through the constructor, which runs it
+    found = [
+        path.name
+        for path in (ROOT / "src" / "corrset").glob("*.py")
+        if path.name != "corrvec.py"
+        and ("_COMPONENT_NAMES" in _names_read(path) or _builds_vectors_unchecked(path))
+    ]
+    assert found == []
