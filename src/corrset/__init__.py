@@ -18,7 +18,6 @@ from .checks import (
 )
 from .corrvec import (
     DEFAULT_TOLERANCE,
-    CanonicalForm,
     CorrelationVector,
     SymmetryOp,
     canonicalize,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLASSICAL_BOUND",
-    "CanonicalForm",
     "CorrSetError",
     "CorrelationVector",
     "DEFAULT_TOLERANCE",

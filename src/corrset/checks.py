@@ -179,7 +179,7 @@ def _oracle_verdicts(xs: np.ndarray, tolerance: float) -> tuple:
     facet_value = np.maximum(box_value, 0.5 * chsh_value)
 
     gap = np.abs(vertex_value - facet_value)
-    if np.max(gap) > _PATH_AGREEMENT_TOLERANCE:
+    if gap.size and np.max(gap) > _PATH_AGREEMENT_TOLERANCE:
         # the first disagreeing row, counted over the leading axes
         row = int(np.argmax(gap.reshape(-1) > _PATH_AGREEMENT_TOLERANCE))
         point = ", ".join(repr(float(v)) for v in xs.reshape(-1, 4)[row])

@@ -17,11 +17,11 @@ the sorting condition
     x1 >= x2 >= x3 >= |x4|,
 
 for which each eight-inequality membership system collapses to a single
-binding inequality.  `canonicalize` computes that representative straight
-from the component values: the magnitudes in descending order, with the
-last one negated when the sign parity is odd.  The group element realizing
-it is built only on demand, on each read of `CanonicalForm.op`, and is
-chosen deterministically so results are reproducible bit for bit.
+binding inequality.  `canonicalize` returns that representative, straight
+from the component values: the magnitudes in descending order, the last
+one negated when the sign parity is odd.  `_sort_and_flip` gives the perm
+and signs of the group element carrying a vector there, chosen
+deterministically so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +38,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .errors import InternalCheckError, NonFiniteInputError, OutOfBoxError
+from .errors import PreconditionError
 
 # Default tolerance for box validation; membership tests share it.
 DEFAULT_TOLERANCE = 1e-9
@@ -77,7 +79,11 @@ class CorrelationVector:
         and set without `__post_init__`, which runs this rule at tolerance
         0; so the vector equals `cls(*clamped)` bit for bit.
         """
-        values = tuple(raw)
+        try:
+            values = tuple(raw)
+        except TypeError:
+            message = f"expected a sequence of 4 components, got {raw!r}"
+            raise OutOfBoxError(message) from None
         try:
             a, b, c, d = values
             a = float(a)
@@ -147,22 +153,29 @@ class SymmetryOp:
 
         apply(op, x)[i] = signs[i] * x[perm^-1(i)].
 
-    The sign mask must flip an even number of components; odd masks do not
-    preserve the correlation sets.
+    Entries are integers (numpy integers count).  The sign mask must flip
+    an even number of components; odd masks do not preserve the correlation
+    sets.  Anything else raises PreconditionError.
     """
 
     perm: tuple[int, int, int, int]
     signs: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        perm = tuple(int(p) for p in self.perm)
-        signs = tuple(int(s) for s in self.signs)
+        try:
+            perm = tuple(map(operator.index, self.perm))
+            signs = tuple(map(operator.index, self.signs))
+        except TypeError:
+            message = f"perm {self.perm!r} and signs {self.signs!r} must be integers"
+            raise PreconditionError(message) from None
         if sorted(perm) != [0, 1, 2, 3]:
-            raise ValueError(f"perm {perm!r} is not a permutation of 0..3")
+            raise PreconditionError(f"perm {perm!r} is not a permutation of 0..3")
+        if len(signs) != 4:
+            raise PreconditionError(f"signs {signs!r} must have 4 entries")
         if any(s not in (-1, 1) for s in signs):
-            raise ValueError(f"signs {signs!r} must be +1 or -1")
+            raise PreconditionError(f"signs {signs!r} must be +1 or -1")
         if signs[0] * signs[1] * signs[2] * signs[3] != 1:
-            raise ValueError(
+            raise PreconditionError(
                 f"signs {signs!r} flip an odd number of components"
             )
         object.__setattr__(self, "perm", perm)
@@ -189,12 +202,12 @@ class SymmetryOp:
         perm = tuple(self.perm[other.perm[j]] for j in range(4))
         q_self = self.source_indices()
         signs = tuple(self.signs[i] * other.signs[q_self[i]] for i in range(4))
-        return _group_element(perm, signs)
+        return SymmetryOp(perm, signs)
 
     def inverse(self) -> "SymmetryOp":
         p, s = self.perm, self.signs
         signs = (s[p[0]], s[p[1]], s[p[2]], s[p[3]])
-        return _group_element(self.source_indices(), signs)
+        return SymmetryOp(self.source_indices(), signs)
 
     def matrix(self) -> np.ndarray:
         """The op as a 4x4 signed permutation matrix M with apply = M @ x."""
@@ -203,35 +216,6 @@ class SymmetryOp:
         for i in range(4):
             m[i, q[i]] = self.signs[i]
         return m
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A canonical representative of `source`, plus the op that produced it.
-
-    `canonical` is computed from the component values alone; `op` is built
-    from `source` on each read, so a caller reads it once, without the
-    checks a public `SymmetryOp(...)` runs, since the sort-and-flip rule
-    only yields group elements.  `op.apply(source)` equals `canonical`
-    exactly, and `op.inverse().apply(canonical)` recovers `source` exactly,
-    because the group acts by permutation and sign flip only.
-    """
-
-    canonical: CorrelationVector
-    source: CorrelationVector
-
-    @property
-    def op(self) -> SymmetryOp:
-        """The group element of the sort-and-flip rule in `canonicalize`."""
-        comps = self.source.as_tuple()
-        # a stable sort over range(4) breaks ties by index
-        order = sorted(range(4), key=[-abs(v) for v in comps].__getitem__)
-        perm = (order.index(0), order.index(1), order.index(2), order.index(3))
-        signs = [-1 if comps[j] < 0.0 else 1 for j in order]
-        if signs[0] * signs[1] * signs[2] * signs[3] == -1:
-            # zeros sort last, so a zero absorbing the flip is at position 4
-            signs[3] = -signs[3]
-        return _group_element(perm, tuple(signs))
 
 
 def _refuse(
@@ -275,25 +259,30 @@ def _unchecked(cls, fields):
     return obj
 
 
-def _group_element(
-    perm: tuple[int, int, int, int], signs: tuple[int, int, int, int]
-) -> SymmetryOp:
-    """A SymmetryOp from int tuples that form a group element by
-    construction, built without the checks of `SymmetryOp.__post_init__`:
-    the sort-and-flip rule, and the inverse or product of group elements."""
-    return _unchecked(SymmetryOp, {"perm": perm, "signs": signs})
+def _sort_and_flip(
+    comps: tuple[float, float, float, float]
+) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """The perm and signs of the `SymmetryOp` carrying the vector `comps`
+    to `canonicalize`'s representative: a sort by descending absolute value,
+    ties broken by index, then pairwise flips that leave the first three
+    components nonnegative; position 4 carries any leftover minus sign."""
+    # a stable sort over range(4) breaks ties by index
+    order = sorted(range(4), key=[-abs(v) for v in comps].__getitem__)
+    perm = (order.index(0), order.index(1), order.index(2), order.index(3))
+    signs = [-1 if comps[j] < 0.0 else 1 for j in order]
+    if signs[0] * signs[1] * signs[2] * signs[3] == -1:
+        # zeros sort last, so a zero absorbing the flip is at position 4
+        signs[3] = -signs[3]
+    return perm, tuple(signs)
 
 
-def canonicalize(x: CorrelationVector) -> CanonicalForm:
+def canonicalize(x: CorrelationVector) -> CorrelationVector:
     """Deterministic canonical representative under the 192-op group.
 
-    The values come first: the magnitudes in descending order, the last one
-    negated when an odd number of components is negative and it is nonzero
-    (a zero absorbs the odd flip and stays +0.0).  The group element, built
-    only when `CanonicalForm.op` is read, sorts components by descending
-    absolute value (ties broken by original index), then flips signs
-    pairwise so the first three are nonnegative; position 4 carries any
-    leftover minus sign.
+    Its components are the magnitudes of x's in descending order, the last
+    one negated when an odd number of components is negative and it is
+    nonzero (a zero absorbs the odd flip and stays +0.0).  The op
+    `SymmetryOp(*_sort_and_flip(x.as_tuple()))` maps x onto it exactly.
     """
     comps = x.as_tuple()
     a, b, c, d = sorted(map(abs, comps), reverse=True)
@@ -304,8 +293,7 @@ def canonicalize(x: CorrelationVector) -> CanonicalForm:
         d = -d
     # the magnitudes of a CorrelationVector's components lie in [0, 1] and
     # are never -0.0, so the constructor's box rule would admit them as they are
-    canonical = _unchecked(CorrelationVector, {"x1": a, "x2": b, "x3": c, "x4": d})
-    return _unchecked(CanonicalForm, {"canonical": canonical, "source": x})
+    return _unchecked(CorrelationVector, {"x1": a, "x2": b, "x3": c, "x4": d})
 
 
 @lru_cache(maxsize=1)

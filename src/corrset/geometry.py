@@ -49,7 +49,7 @@ import numpy as np
 
 from . import membership
 from .corrvec import DEFAULT_TOLERANCE, CorrelationVector, SymmetryOp, canonicalize
-from .corrvec import _unchecked
+from .corrvec import _sort_and_flip, _unchecked
 from .errors import InternalCheckError, NotInQuantumSetError, PreconditionError
 
 _TWO_PI = 2.0 * math.pi
@@ -69,11 +69,12 @@ def reduce_angle(phi: float) -> float:
 class GeneratorPoint:
     """One extremal generator, stored by its three defining angles.
 
-    Angles must be finite and are reduced to (-pi, pi] on construction;
-    evaluation only feeds them to sine, so the reduction never changes the
-    vector.  Generators built from the package's own finite floats skip
-    the check through `_generator`, which reduces them alike: `origin` and
-    the transport of `angle_transport` and `decompose`.
+    Angles must be finite numbers, or PreconditionError is raised.  They
+    are reduced to (-pi, pi] on construction; evaluation only feeds them to
+    sine, so the reduction never changes the vector.  Generators built from
+    the package's own finite floats skip the check through `_generator`,
+    which reduces them alike: `origin` and the transport of
+    `angle_transport` and `decompose`.
     """
 
     phi1: float
@@ -82,7 +83,12 @@ class GeneratorPoint:
 
     def __post_init__(self) -> None:
         for name in ("phi1", "phi2", "phi3"):
-            v = float(getattr(self, name))
+            v = getattr(self, name)
+            try:
+                v = float(v)
+            except (TypeError, ValueError, OverflowError):
+                message = f"angle {name} is not a number: {v!r}"
+                raise PreconditionError(message) from None
             if not math.isfinite(v):
                 raise PreconditionError(f"angle {name} is not finite: {v!r}")
             object.__setattr__(self, name, reduce_angle(v))
@@ -109,21 +115,28 @@ class GeneratorPoint:
 class Decomposition:
     """Convex combination of at most three generators.
 
-    Weights are in [0, 1] and sum to 1 within 1e-12.  Zero-weight terms are
-    never stored; `decompose` drops them on the fly.
+    Each term is a (weight, GeneratorPoint) pair; weights are in [0, 1] and
+    sum to 1 within 1e-12, or PreconditionError is raised.  Zero-weight
+    terms are never stored; `decompose` drops them on the fly.
     """
 
     terms: tuple[tuple[float, GeneratorPoint], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((float(w), g) for w, g in self.terms)
+        try:
+            terms = tuple((float(w), g) for w, g in self.terms)
+        except (TypeError, ValueError, OverflowError):
+            message = f"terms {self.terms!r} are not (weight, GeneratorPoint) pairs"
+            raise PreconditionError(message) from None
         if not 1 <= len(terms) <= 3:
             raise PreconditionError(
                 f"a decomposition has 1 to 3 terms, got {len(terms)}"
             )
-        for w, _ in terms:
+        for w, g in terms:
             if not 0.0 <= w <= 1.0:
                 raise PreconditionError(f"weight {w!r} outside [0, 1]")
+            if not isinstance(g, GeneratorPoint):
+                raise PreconditionError(f"term {g!r} is not a GeneratorPoint")
         total = math.fsum(w for w, _ in terms)
         if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
             raise PreconditionError(f"weights sum to {total!r}, not 1")
@@ -359,8 +372,7 @@ def decompose(
             f"{membership.CLASSICAL_BOUND - membership.chsh_max(x)!r} "
             f"margin_Q={margin!r}"
         )
-    form = canonicalize(x)
-    y = form.canonical.as_tuple()
+    y = canonicalize(x).as_tuple()
 
     # each term's weight and canonical angles, in (-pi, pi] and none -0.0
     angles: tuple[tuple[float, tuple[float, float, float]], ...]
@@ -389,10 +401,10 @@ def decompose(
         if 1.0 - weight > 0.0:
             angles += ((1.0 - weight, (0.0, 0.0, 0.0)),)
 
-    # back through op's inverse: source indices op.perm, signs op.signs[op.perm]
-    op = form.op
-    shifts = [math.pi if op.signs[j] < 0 else 0.0 for j in op.perm]
-    terms = tuple((w, _transport(op.perm, shifts, *phis)) for w, phis in angles)
+    # back through SymmetryOp(perm, signs)'s inverse: sources perm, signs signs[perm]
+    perm, signs = _sort_and_flip(x.as_tuple())
+    shifts = [math.pi if signs[j] < 0 else 0.0 for j in perm]
+    terms = tuple((w, _transport(perm, shifts, *phis)) for w, phis in angles)
 
     # 1 to 3 weights in [0, 1] summing to 1 by construction: skip the checks
     result = _unchecked(Decomposition, {"terms": terms})

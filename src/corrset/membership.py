@@ -239,7 +239,7 @@ def evaluate(
     max_chsh = max(chsh)
     max_f = QUANTUM_BOUND - quantum_margin  # max(fvals) within an ulp of pi
 
-    z = canonicalize(x).canonical.as_tuple()
+    z = canonicalize(x).as_tuple()
     fast_chsh = z[0] + z[1] + z[2] - z[3]
     fast_f = (
         math.asin(z[0]) + math.asin(z[1]) + math.asin(z[2]) - math.asin(z[3])

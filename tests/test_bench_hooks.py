@@ -29,6 +29,21 @@ def test_every_trace_target_is_bound(monkeypatch):
     assert not missing, missing
 
 
+def test_untraced_benchmark_ops_run(monkeypatch):
+    # the calls `bench/run.py` times, made as it makes them: every classify
+    # and construct input of seed 0, and the first sample and lemmas op
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = importlib.import_module("workloads")
+    sizes = {}
+    for name, workload in workloads.WORKLOADS.items():
+        work = workload(0)
+        count = work.size if name in ("classify", "construct") else 1
+        for k in range(count):
+            work.op(k)
+        sizes[name] = count
+    assert sizes == {"classify": 4096, "construct": 400, "sample": 1, "lemmas": 1}
+
+
 def test_traced_lemmas_run_sees_both_scans(monkeypatch):
     # the suite calls the scans by their `checks` names, where the tracer
     # wraps them; the mu check's classical margins are counted per row

@@ -65,6 +65,16 @@ def test_lvt_oracle_frozen_values():
     assert lvt_oracle_batch(np.array(points)).tolist() == [True, False, True, False]
 
 
+def test_lvt_oracle_on_an_empty_batch():
+    # np.max over the empty gap array raised "zero-size array to reduction
+    # operation maximum which has no identity"
+    for shape in ((0, 4), (3, 0, 4)):
+        xs = np.zeros(shape)
+        verdicts = lvt_oracle_batch(xs)
+        assert verdicts.dtype == bool
+        assert verdicts.shape == classical_margins(xs).shape == shape[:-1]
+
+
 def test_lvt_oracle_matches_facets():
     rng = np.random.default_rng(7)
     xs = rng.uniform(-1, 1, size=(100_000, 4))

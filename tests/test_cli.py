@@ -17,7 +17,7 @@ import pytest
 
 from corrset import checks, cli, membership, quantum
 from corrset.cli import main
-from corrset.corrvec import CanonicalForm, CorrelationVector
+from corrset.corrvec import CorrelationVector
 from corrset.geometry import decompose
 
 T = "0.7071067811865476"
@@ -220,7 +220,7 @@ def test_decompose_member_whose_face_point_lies_just_outside_q(capsys):
 
 def test_failing_cross_check_exits_3(capsys, monkeypatch):
     wrong = CorrelationVector(0.9, 0.5, 0.3, 0.2)
-    monkeypatch.setattr(membership, "canonicalize", lambda v: CanonicalForm(wrong, v))
+    monkeypatch.setattr(membership, "canonicalize", lambda v: wrong)
     code, out, err = run(capsys, "membership", "0.9", "0.5", "0.3", "-0.2")
     assert code == 3
     assert out == ""

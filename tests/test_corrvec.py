@@ -4,6 +4,7 @@ import fractions
 import itertools
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,13 +14,12 @@ from hypothesis import strategies as st
 
 from corrset import corrvec
 from corrset.corrvec import (
-    CanonicalForm,
     CorrelationVector,
     SymmetryOp,
     canonicalize,
     full_symmetry_group,
 )
-from corrset.errors import NonFiniteInputError, OutOfBoxError
+from corrset.errors import NonFiniteInputError, OutOfBoxError, PreconditionError
 from corrset.geometry import decompose
 from corrset.membership import evaluate, mu
 
@@ -35,6 +35,12 @@ tie_prone_vectors = st.tuples(tie_prone, tie_prone, tie_prone, tie_prone)
 def _signed(x: CorrelationVector) -> tuple:
     """Components paired with their sign bits, so +0.0 and -0.0 differ."""
     return tuple((v, math.copysign(1.0, v)) for v in x.as_tuple())
+
+
+def _canonical_op(x: CorrelationVector) -> SymmetryOp:
+    """The op of `canonicalize`'s sort-and-flip rule, built through the
+    public constructor."""
+    return SymmetryOp(*corrvec._sort_and_flip(x.as_tuple()))
 
 
 def _is_s_ordered(t) -> bool:
@@ -60,6 +66,14 @@ def test_validate_clamps_within_tolerance():
 def test_validate_rejects_out_of_box():
     with pytest.raises(OutOfBoxError, match="x3"):
         CorrelationVector.validate((0.0, 0.0, 1.5, 0.0))
+
+
+@pytest.mark.parametrize("raw", [None, 5, 0.5])
+def test_validate_refuses_a_non_sequence_naming_it(raw):
+    # these raised a bare TypeError: ... is not iterable
+    with pytest.raises(OutOfBoxError) as info:
+        CorrelationVector.validate(raw)
+    assert str(info.value) == f"expected a sequence of 4 components, got {raw!r}"
 
 
 TOL = 1e-9
@@ -410,6 +424,28 @@ def test_bad_sign_rejected():
 
 
 @pytest.mark.parametrize(
+    "perm, signs, message",
+    [
+        ((0, 0, 2, 3), (1, 1, 1, 1), "is not a permutation of 0..3"),
+        (None, (1, 1, 1, 1), "must be integers"),
+        ((0, 1, 2, 3), None, "must be integers"),
+        # int() truncated both of these to the identity
+        ((0, 1, 2, 3), (1.5, 1, 1, 1), "must be integers"),
+        ((0.9, 1, 2, 3), (1, 1, 1, 1), "must be integers"),
+        ((0, 1, 2, 3), (1, 1, 1), "must have 4 entries"),
+        ((0, 1, 2, 3), (-1, 1, 1, 1), "flip an odd number of components"),
+    ],
+)
+def test_symmetry_op_refuses_with_precondition_error(perm, signs, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        SymmetryOp(perm, signs)
+    # numpy integers are integers
+    op = SymmetryOp(np.array([1, 0, 2, 3]), np.array([-1, -1, 1, 1], dtype=np.int8))
+    assert op == SymmetryOp((1, 0, 2, 3), (-1, -1, 1, 1))
+    assert all(type(v) is int for v in op.perm + op.signs)
+
+
+@pytest.mark.parametrize(
     "t",
     [
         (0.9, 0.5, 0.3, 0.1),
@@ -424,21 +460,22 @@ def test_bad_sign_rejected():
     ],
 )
 def test_canonical_ops_equal_public_construction(t):
-    # form.op and its inverse skip SymmetryOp's checks; over the whole orbit
-    # they equal the validated op built from the same fields
+    # over the whole orbit, the sort-and-flip op and its inverse equal the
+    # op built from the same fields, and carry plain ints
     for g in full_symmetry_group():
-        form = canonicalize(g.apply(CorrelationVector(*t)))
-        inverse = form.op.inverse()
-        for op in (form.op, inverse):
+        source = g.apply(CorrelationVector(*t))
+        forward = _canonical_op(source)
+        inverse = forward.inverse()
+        for op in (forward, inverse):
             public = SymmetryOp(op.perm, op.signs)
             assert op == public and hash(op) == hash(public)
             assert all(type(v) is int for v in op.perm + op.signs)
-        assert inverse.apply(form.canonical) == form.source
+        assert inverse.apply(canonicalize(source)) == source
 
 
 def test_inverse_and_compose_stay_in_the_group():
-    # inverse() and compose() skip SymmetryOp's checks; every result passes
-    # them, and the group laws hold
+    # every result of inverse() and compose() is a group element equal to
+    # the op built from its fields, and the group laws hold
     group = full_symmetry_group()
     identity = SymmetryOp((0, 1, 2, 3), (1, 1, 1, 1))
     x = CorrelationVector(0.9, -0.5, 0.3, -0.1)
@@ -486,33 +523,33 @@ def test_group_action_laws(t, g, h):
 
 def test_canonicalize_examples():
     cf = canonicalize(CorrelationVector(0.5, -0.9, 0.3, -0.2))
-    assert cf.canonical.as_tuple() == (0.9, 0.5, 0.3, 0.2)
+    assert cf.as_tuple() == (0.9, 0.5, 0.3, 0.2)
     cf = canonicalize(CorrelationVector(-1.0, 0.0, 0.0, 0.0))
-    assert cf.canonical.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+    assert cf.as_tuple() == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_canonicalize_odd_flip_lands_on_x4():
     # all components nonzero, three flips needed: the minus survives on x4
     cf = canonicalize(CorrelationVector(-0.4, -0.3, -0.2, 0.1))
-    assert cf.canonical.as_tuple() == (0.4, 0.3, 0.2, -0.1)
+    assert cf.as_tuple() == (0.4, 0.3, 0.2, -0.1)
 
 
 @given(vectors)
 def test_canonical_is_s_ordered_and_in_orbit(t):
     x = CorrelationVector(*t)
     cf = canonicalize(x)
-    assert _is_s_ordered(cf.canonical.as_tuple())
-    assert cf.op.apply(x) == cf.canonical
+    assert _is_s_ordered(cf.as_tuple())
+    assert _canonical_op(x).apply(x) == cf
     # brute-force orbit oracle: the canonical form maximizes the s-order key
     orbit = [g.apply(x).as_tuple() for g in full_symmetry_group()]
-    assert cf.canonical.as_tuple() in orbit
+    assert cf.as_tuple() in orbit
 
 
 @given(vectors)
 @settings(max_examples=30)
 def test_canonicalize_dominates_orbit(t):
     x = CorrelationVector(*t)
-    z = canonicalize(x).canonical.as_tuple()
+    z = canonicalize(x).as_tuple()
     for g in full_symmetry_group():
         y = g.apply(x).as_tuple()
         if _is_s_ordered(y):
@@ -523,15 +560,15 @@ def test_canonicalize_dominates_orbit(t):
 @given(vectors, any_group_op())
 def test_canonicalize_orbit_invariant(t, g):
     x = CorrelationVector(*t)
-    assert canonicalize(g.apply(x)).canonical == canonicalize(x).canonical
+    assert canonicalize(g.apply(x)) == canonicalize(x)
 
 
 @given(vectors)
 def test_canonicalize_idempotent(t):
-    z = canonicalize(CorrelationVector(*t)).canonical
+    z = canonicalize(CorrelationVector(*t))
     again = canonicalize(z)
-    assert again.canonical == z
-    assert again.op.apply(z) == z
+    assert again == z
+    assert _canonical_op(z).apply(z) == z
 
 
 @given(tie_prone_vectors)
@@ -539,9 +576,9 @@ def test_canonicalize_idempotent(t):
 def test_canonical_values_match_op_and_orbit(t):
     x = CorrelationVector(*t)
     form = canonicalize(x)
-    assert _signed(form.op.apply(x)) == _signed(form.canonical)
+    assert _signed(_canonical_op(x).apply(x)) == _signed(form)
     for g in full_symmetry_group():
-        assert _signed(canonicalize(g.apply(x)).canonical) == _signed(form.canonical)
+        assert _signed(canonicalize(g.apply(x))) == _signed(form)
 
 
 @pytest.mark.parametrize(
@@ -556,16 +593,16 @@ def test_canonical_values_match_op_and_orbit(t):
     ],
 )
 def test_canonical_group_element_pinned(t, perm, signs, canonical):
-    form = canonicalize(CorrelationVector(*t))
-    assert form.op == SymmetryOp(perm, signs)
-    assert _signed(form.canonical) == _signed(CorrelationVector(*canonical))
+    x = CorrelationVector(*t)
+    assert _canonical_op(x) == SymmetryOp(perm, signs)
+    assert _signed(canonicalize(x)) == _signed(CorrelationVector(*canonical))
 
 
 def test_canonical_form_carries_op():
     x = CorrelationVector(0.5, -0.9, 0.3, -0.2)
     cf = canonicalize(x)
-    assert isinstance(cf, CanonicalForm)
-    assert cf.op.inverse().apply(cf.canonical) == x
+    assert isinstance(cf, CorrelationVector)
+    assert _canonical_op(x).inverse().apply(cf) == x
 
 
 def test_compose_order_is_other_first():

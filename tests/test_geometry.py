@@ -11,8 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrset.corrvec import CorrelationVector, canonicalize, full_symmetry_group
-from corrset.errors import InternalCheckError, NotInQuantumSetError
+from corrset.corrvec import (
+    CorrelationVector,
+    SymmetryOp,
+    _sort_and_flip,
+    canonicalize,
+    full_symmetry_group,
+)
+from corrset.errors import InternalCheckError, NotInQuantumSetError, PreconditionError
 from corrset import geometry
 from corrset.geometry import (
     Decomposition,
@@ -310,12 +316,38 @@ def test_decomposition_validation():
         Decomposition(terms=((1.5, g), (-0.5, g)))
 
 
+@pytest.mark.parametrize(
+    "angle",
+    ["a", None, 10**400, math.nan, -math.inf],
+    ids=["string", "None", "int-past-float", "nan", "-inf"],
+)
+def test_generator_point_refuses_with_precondition_error(angle):
+    # a string or None raised a bare ValueError or TypeError
+    with pytest.raises(PreconditionError, match=r"^angle phi1 is not "):
+        GeneratorPoint(angle, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ((("a", GeneratorPoint.origin()),), "are not (weight, GeneratorPoint) pairs"),
+        (None, "are not (weight, GeneratorPoint) pairs"),
+        (((1.0,),), "are not (weight, GeneratorPoint) pairs"),
+        # admitted before, and its reconstruct() failed with AttributeError
+        (((1.0, (0, 0, 0)),), "term (0, 0, 0) is not a GeneratorPoint"),
+    ],
+)
+def test_decomposition_refuses_with_precondition_error(terms, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        Decomposition(terms)
+
+
 def test_canonical_interior_bisection_path():
     # strictly inside Q, x1 < 1, so decompose must go through the ray search
     x = CorrelationVector(0.8, 0.45, 0.2, -0.1)
     assert evaluate(x).in_quantum
     cf = canonicalize(x)
-    assert cf.canonical.x1 < 1.0
+    assert cf.x1 < 1.0
     d = decompose(x)
     assert math.fsum(d.weights) == pytest.approx(1.0, abs=1e-12)
     residual = np.abs(
@@ -709,7 +741,7 @@ def test_decompose_transport_is_angle_transport():
     points = generator_values(phis) * rng.uniform(0.3, 1.0, size=(12, 1))
     # angles in (0.6, 1.5) sum to within (pi/2, 3 pi/2): boundary points
     points[:4] = generator_values(rng.uniform(0.6, 1.5, size=(4, 3)))
-    canonical = [canonicalize(CorrelationVector(*p)).canonical for p in points]
+    canonical = [canonicalize(CorrelationVector(*p)) for p in points]
     canonical = [y for y in canonical if len(set(map(abs, y.as_tuple()))) == 4]
     canonical = [y for y in canonical if 0.0 not in y.as_tuple()]
     routes = set()
@@ -719,7 +751,7 @@ def test_decompose_transport_is_angle_transport():
         routes.add("boundary" if len(base.terms) == 1 else "face" if face else "curved")
         for op in full_symmetry_group():
             x = op.inverse().apply(y)
-            assert canonicalize(x).op == op
+            assert SymmetryOp(*_sort_and_flip(x.as_tuple())) == op
             d = decompose(x)
             assert d.weights == base.weights
             for (_, g), (_, g0) in zip(d.terms, base.terms):
